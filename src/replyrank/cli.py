@@ -40,6 +40,7 @@ from .evaluation import (
     select_threshold,
 )
 from .model import (
+    CheckpointError,
     ModelConfig,
     NumericError,
     init_params,
@@ -160,6 +161,27 @@ def _load_instance_pools(path: str, num_roles: int, disentangle: bool, cap: int)
     if not loaded or not isinstance(loaded[0], CandidatePool):
         raise CorpusError("%s does not contain candidate pools" % path)
     return [_pool_instances(pool, num_roles, disentangle, cap) for pool in loaded]
+
+
+def score_pools(
+    pools: list[list[MatchingInstance]], params, config: ModelConfig, vocab: Vocabulary
+) -> list[list[float]]:
+    """Matching probabilities for every candidate of every pool, in candidate order.
+
+    All candidates are encoded, sorted by real length and scored in
+    consecutive chunks of at most as many rows as the largest pool, so a
+    batch holds candidates of similar length and is never larger than one
+    pool.
+    """
+    encoded = [encode_instance(inst, vocab, config.max_seq_len) for pool in pools for inst in pool]
+    order = sorted(range(len(encoded)), key=lambda i: len(encoded[i]))
+    chunk = max((len(pool) for pool in pools), default=1)
+    scores = np.empty(len(encoded))
+    for start in range(0, len(order), chunk):
+        rows = order[start : start + chunk]
+        scores[rows] = score_batch(stack_inputs([encoded[i] for i in rows]), params, config)
+    flat = iter(scores.tolist())
+    return [[next(flat) for _ in pool] for pool in pools]
 
 
 def _collect_texts(paths: list[str], fmt: str) -> list[str]:
@@ -309,7 +331,7 @@ def cmd_finetune(args) -> int:
     return _run_phase(args, "finetune")
 
 
-def _parse_recall_cutoffs(arg: str | None, pool_size: int) -> list[tuple[int, int]]:
+def _parse_recall_cutoffs(arg: str | None, pools: list[list[MatchingInstance]]) -> list[tuple[int, int]]:
     if arg:
         cutoffs = []
         for piece in arg.split(","):
@@ -319,6 +341,10 @@ def _parse_recall_cutoffs(arg: str | None, pool_size: int) -> list[tuple[int, in
             except ValueError as exc:
                 raise UsageError("bad --recall entry %r, expected n:k" % piece) from exc
         return cutoffs
+    sizes = {len(pool) for pool in pools}
+    if len(sizes) != 1:
+        raise CorpusError("pools have mixed candidate counts %s; pass --recall explicitly" % sorted(sizes))
+    pool_size = sizes.pop()
     cutoffs = [(pool_size, k) for k in (1, 2, 5) if k <= pool_size]
     if pool_size >= 2:
         cutoffs.append((2, 1))
@@ -336,20 +362,14 @@ def cmd_evaluate(args) -> int:
         args.pools, model_config.num_speaker_roles,
         disentangle=not args.no_disentangle, cap=args.cap,
     )
-    ranked = []
-    for pool in pools:
-        batch = stack_inputs([encode_instance(inst, vocab, model_config.max_seq_len) for inst in pool])
-        scores = score_batch(batch, params, model_config)
-        ranked.append(rank_scores(scores.tolist(), [inst.label for inst in pool]))
-
-    sizes = {len(pool) for pool in pools}
-    if len(sizes) != 1:
-        raise CorpusError("pools have mixed candidate counts %s; pass --recall explicitly" % sorted(sizes))
+    scores = score_pools(pools, params, model_config, vocab)
+    ranked = [rank_scores(s, [inst.label for inst in pool]) for s, pool in zip(scores, pools)]
+    cutoffs = _parse_recall_cutoffs(args.recall, pools)
     threshold = None
     if args.threshold_sweep:
         threshold = select_threshold(ranked, DEFAULT_THRESHOLD_GRID)
         ranked = apply_no_answer(ranked, threshold)
-    report = compute_report(ranked, _parse_recall_cutoffs(args.recall, sizes.pop()), threshold)
+    report = compute_report(ranked, cutoffs, threshold)
     text = format_report(report)
     print(text)
     if args.out:
@@ -469,7 +489,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusError, OSError, json.JSONDecodeError) as exc:
+    except (CorpusError, CheckpointError, OSError, json.JSONDecodeError) as exc:
         print("data error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

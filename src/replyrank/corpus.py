@@ -135,30 +135,35 @@ def _require(record: dict, key: str, record_number: int):
     return record[key]
 
 
+def _checked_utterance(index: int, spoken_from, spoken_to, text, where: str) -> Utterance:
+    if not isinstance(spoken_from, str) or not spoken_from:
+        raise CorpusError("%s 'from' must be a non-empty string" % where)
+    if not isinstance(text, str):
+        raise CorpusError("%s 'text' must be a string" % where)
+    if spoken_to is not None and not isinstance(spoken_to, str):
+        raise CorpusError("%s 'to' must be a string or null" % where)
+    return Utterance(index=index, spoken_from=spoken_from, spoken_to=spoken_to, text=text)
+
+
 def record_to_utterance(record: dict, record_number: int) -> Utterance:
     index = _require(record, "index", record_number)
     spoken_from = _require(record, "from", record_number)
     text = _require(record, "text", record_number)
-    spoken_to = record.get("to")
     if not isinstance(index, int) or isinstance(index, bool):
         raise CorpusError("record %d: 'index' must be an integer" % record_number)
-    if not isinstance(spoken_from, str) or not spoken_from:
-        raise CorpusError("record %d: 'from' must be a non-empty string" % record_number)
-    if not isinstance(text, str):
-        raise CorpusError("record %d: 'text' must be a string" % record_number)
-    if spoken_to is not None and not isinstance(spoken_to, str):
-        raise CorpusError("record %d: 'to' must be a string or null" % record_number)
-    return Utterance(index=index, spoken_from=spoken_from, spoken_to=spoken_to, text=text)
+    return _checked_utterance(index, spoken_from, record.get("to"), text, "record %d:" % record_number)
 
 
-def _candidate_to_utterance(entry: dict, index: int, record_number: int) -> tuple[Utterance, int]:
+def _candidate_to_utterance(entry, index: int, record_number: int) -> tuple[Utterance, int]:
+    if not isinstance(entry, dict):
+        raise CorpusError("record %d: each candidate must be a JSON object" % record_number)
     text = _require(entry, "text", record_number)
     spoken_from = _require(entry, "from", record_number)
     label = _require(entry, "label", record_number)
-    if label not in (0, 1):
+    if not isinstance(label, int) or isinstance(label, bool) or label not in (0, 1):
         raise CorpusError("record %d: candidate label must be 0 or 1, got %r" % (record_number, label))
-    utt = Utterance(index=index, spoken_from=spoken_from, spoken_to=entry.get("to"), text=text)
-    return utt, label
+    where = "record %d: candidate" % record_number
+    return _checked_utterance(index, spoken_from, entry.get("to"), text, where), label
 
 
 def _parse_jsonl_records(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:

@@ -1,10 +1,11 @@
 """Assembly of model inputs: token/segment/position/speaker tracks.
 
 Layout is ``[CLS] <context with [EOU]/[EOT] markers> [SEP] <response> [SEP]``
-padded to a fixed length.  Each context utterance ends with [EOU]; the last
+within a length budget.  Each context utterance ends with [EOU]; the last
 utterance of a turn (a maximal run of consecutive same-speaker utterances)
 additionally gets [EOT].  Speaker-role ids annotate every content token,
-with 0 reserved for [CLS], [SEP] and padding.
+with 0 reserved for [CLS], [SEP] and padding.  Encodings hold only real
+positions; ``model.stack_inputs`` pads a batch to its longest member.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ from typing import Iterable, Sequence
 
 from .corpus import Utterance
 from .disentangle import FilteredContext, cap_context
-from .tokenizer import CLS, EOT, EOU, PAD, SEP, Vocabulary, tokenize
+from .tokenizer import CLS, EOT, EOU, SEP, Vocabulary, tokenize
 
 RESPONSE_FLOOR = 8  # response tail-truncation never goes below this many tokens
 
 
 @dataclass(frozen=True)
 class EncodedInput:
-    """Five equal-length id tracks for one context-response pair."""
+    """Five equal-length id tracks for one context-response pair, unpadded."""
 
     token_ids: tuple[int, ...]
     segment_ids: tuple[int, ...]
@@ -139,7 +140,11 @@ def build_input(
     vocab: Vocabulary,
     max_len: int,
 ) -> EncodedInput:
-    """Assemble the padded five-track input for one context-response pair."""
+    """Assemble the five-track input for one context-response pair.
+
+    The result holds at most ``max_len`` positions, all of them real: the
+    attention mask is all ones and position ids run ``0..len-1``.
+    """
     if not context:
         raise ValueError("context must contain at least one utterance")
     if max_len < 8:
@@ -156,15 +161,12 @@ def build_input(
     speakers = [0] + [role for _, role in context_pairs] + [0] + [response_role] * len(response_tokens) + [0]
     first_sep = 1 + len(context_pairs)
     segments = [0] * (first_sep + 1) + [1] * (len(response_tokens) + 1)
-    mask = [1] * len(tokens)
-
-    pad = max_len - len(tokens)
     return EncodedInput(
-        token_ids=tuple(tokens + [PAD] * pad),
-        segment_ids=tuple(segments + [0] * pad),
-        position_ids=tuple(range(max_len)),
-        speaker_ids=tuple(speakers + [0] * pad),
-        attention_mask=tuple(mask + [0] * pad),
+        token_ids=tuple(tokens),
+        segment_ids=tuple(segments),
+        position_ids=tuple(range(len(tokens))),
+        speaker_ids=tuple(speakers),
+        attention_mask=(1,) * len(tokens),
     )
 
 

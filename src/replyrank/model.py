@@ -11,7 +11,8 @@ tensor; everything runs in double precision for reproducibility.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import zipfile
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -19,6 +20,7 @@ import numpy as np
 from scipy.special import erf, expit
 
 from .encoding import EncodedInput
+from .tokenizer import PAD
 
 LN_EPS = 1e-6
 INIT_STD = 0.02
@@ -27,6 +29,10 @@ CHECKPOINT_FORMAT = 1
 
 class NumericError(Exception):
     """Non-finite values encountered inside the network."""
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file that is not a readable replyrank .npz archive."""
 
 
 @dataclass(frozen=True)
@@ -152,17 +158,26 @@ class Batch:
         return self.token_ids.shape[0]
 
 
+_TRACKS = ("token_ids", "segment_ids", "position_ids", "speaker_ids", "attention_mask")
+
+
 def stack_inputs(inputs: Sequence[EncodedInput]) -> Batch:
-    lengths = {len(enc) for enc in inputs}
-    if len(lengths) != 1:
-        raise ValueError("cannot stack inputs of differing lengths %s" % sorted(lengths))
-    return Batch(
-        token_ids=np.array([enc.token_ids for enc in inputs], dtype=np.int64),
-        segment_ids=np.array([enc.segment_ids for enc in inputs], dtype=np.int64),
-        position_ids=np.array([enc.position_ids for enc in inputs], dtype=np.int64),
-        speaker_ids=np.array([enc.speaker_ids for enc in inputs], dtype=np.int64),
-        attention_mask=np.array([enc.attention_mask for enc in inputs], dtype=np.int64),
-    )
+    """Stack inputs into one batch as wide as its longest member.
+
+    This is where padding happens: slots past an input's end get token PAD,
+    segment 0, speaker 0 and mask 0, while position ids stay absolute
+    (``0..width-1`` along every row).
+    """
+    if not inputs:
+        raise ValueError("cannot stack an empty list of inputs")
+    width = max(len(enc) for enc in inputs)
+    tracks = {name: np.zeros((len(inputs), width), dtype=np.int64) for name in _TRACKS}
+    tracks["token_ids"][:] = PAD
+    tracks["position_ids"][:] = np.arange(width)
+    for row, enc in enumerate(inputs):
+        for name, array in tracks.items():
+            array[row, : len(enc)] = getattr(enc, name)
+    return Batch(**tracks)
 
 
 def _check_ids(batch: Batch, config: ModelConfig) -> None:
@@ -284,10 +299,11 @@ def forward_batch(
 ):
     """Run the encoder on a batch; returns head outputs plus the trace.
 
-    Padded key positions receive -inf attention scores, so no activation at
-    an unmasked position can depend on padding content.  Dropout (when
-    enabled) applies to the two sublayer outputs before their residual adds
-    and requires an rng.
+    The batch is as wide as ``stack_inputs`` made it.  Padded key positions
+    receive -inf attention scores, so no activation at an unmasked position
+    depends on padding content or on how many padding columns there are.
+    Dropout (when enabled) applies to the two sublayer outputs before their
+    residual adds and requires an rng; ``score_batch`` runs without it.
     """
     if config.dropout_rate > 0.0 and rng is None:
         raise ValueError("dropout_rate > 0 requires an rng")
@@ -361,7 +377,8 @@ def score(enc: EncodedInput, params: dict[str, np.ndarray], config: ModelConfig)
 
 
 def score_batch(batch: Batch, params: dict[str, np.ndarray], config: ModelConfig) -> np.ndarray:
-    match_logits, _, _, _ = forward_batch(batch, params, config)
+    """Matching probabilities for a batch, with dropout off (inference)."""
+    match_logits, _, _, _ = forward_batch(batch, params, replace(config, dropout_rate=0.0))
     return expit(match_logits)
 
 
@@ -468,13 +485,20 @@ def save_checkpoint(path: str | Path, config: ModelConfig, params: dict[str, np.
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
-    with np.load(path, allow_pickle=False) as archive:
-        if "__meta__" not in archive:
-            raise ValueError("checkpoint %s is missing its metadata entry" % path)
-        meta = json.loads(str(archive["__meta__"]))
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError("unsupported checkpoint format %r" % meta.get("format"))
-        config = ModelConfig(**meta["config"])
-        params = {name: archive[name].astype(float) for name in archive.files if name != "__meta__"}
+    try:
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("a single array, not an archive")
+        with archive:
+            entries = {name: archive[name] for name in archive.files}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise CheckpointError("checkpoint %s is not a valid .npz" % path) from exc
+    if "__meta__" not in entries:
+        raise CheckpointError("checkpoint %s is missing its metadata entry" % path)
+    meta = json.loads(str(entries.pop("__meta__")))
+    if meta.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointError("unsupported checkpoint format %r" % meta.get("format"))
+    config = ModelConfig(**meta["config"])
+    params = {name: array.astype(float) for name, array in entries.items()}
     validate_params(config, params)
     return config, params

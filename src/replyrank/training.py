@@ -20,6 +20,7 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from .encoding import EncodedInput, MatchingInstance, build_input, encode_instance
+from .evaluation import rank_scores, recall_at_k
 from .model import (
     ModelConfig,
     backward,
@@ -30,6 +31,10 @@ from .tokenizer import MASK, NUM_SPECIALS, UNK, Vocabulary
 from .corpus import Utterance
 
 STRUCTURAL_IDS = frozenset(i for i in range(NUM_SPECIALS) if i != UNK)
+
+# Dropout draws from its own stream, offset from the train seed, so a run's
+# shuffling and masking draws do not depend on the dropout rate.
+DROPOUT_SEED_OFFSET = 7919
 
 MaskAction = Literal["mask", "random", "keep"]
 
@@ -250,9 +255,11 @@ def linear_lr(base_lr: float, step: int, total_steps: int) -> float:
 # --- training loop -------------------------------------------------------------
 
 
-def _finetune_batch(encoded: list[EncodedInput], labels: np.ndarray, params, model_config):
+def _finetune_batch(
+    encoded: list[EncodedInput], labels: np.ndarray, params, model_config, dropout_rng=None
+):
     batch = stack_inputs(encoded)
-    match_logits, _, _, trace = forward_batch(batch, params, model_config)
+    match_logits, _, _, trace = forward_batch(batch, params, model_config, dropout_rng)
     losses = np.logaddexp(0.0, match_logits) - labels * match_logits
     d_match = (expit(match_logits) - labels) / len(labels)
     d_nsp = np.zeros((len(labels), 2))
@@ -268,9 +275,10 @@ def _adaptation_batch(
     params,
     model_config,
     train_config,
+    dropout_rng=None,
 ):
     batch = stack_inputs(encoded)
-    _, mlm_logits, nsp_logits, trace = forward_batch(batch, params, model_config)
+    _, mlm_logits, nsp_logits, trace = forward_batch(batch, params, model_config, dropout_rng)
 
     rows_b = np.array([b for b, plan in enumerate(plans) for _ in plan])
     rows_i = np.array([pos.index for plan in plans for pos in plan])
@@ -290,7 +298,7 @@ def _adaptation_batch(
 
 def _adaptation_eval_loss(encoded, plans, nsp_labels, params, model_config, train_config) -> float:
     batch = stack_inputs(encoded)
-    _, mlm_logits, nsp_logits, _ = forward_batch(batch, params, model_config)
+    _, mlm_logits, nsp_logits, _ = forward_batch(batch, params, replace(model_config, dropout_rate=0.0))
     losses = []
     for b, plan in enumerate(plans):
         losses.append(
@@ -302,18 +310,16 @@ def _adaptation_eval_loss(encoded, plans, nsp_labels, params, model_config, trai
     return float(np.mean(losses))
 
 
-def _validation_recall_at_1(pools: Sequence[Sequence[MatchingInstance]], params, model_config, vocab, max_len) -> float:
-    from .evaluation import rank_scores, recall_at_k
-    from .model import score_batch
+def _validation_recall_at_1(pools: Sequence[Sequence[MatchingInstance]], params, model_config, vocab) -> float:
+    # score_pools lives in cli, whose module-level names perfbench traces;
+    # cli imports this module, so the import is deferred to call time.
+    from .cli import score_pools
 
     sizes = {len(pool) for pool in pools}
     if len(sizes) != 1:
         raise ValueError("validation pools must all have the same candidate count")
-    ranked = []
-    for pool in pools:
-        batch = stack_inputs([encode_instance(inst, vocab, max_len) for inst in pool])
-        scores = score_batch(batch, params, model_config)
-        ranked.append(rank_scores(scores.tolist(), [inst.label for inst in pool]))
+    scores = score_pools(pools, params, model_config, vocab)
+    ranked = [rank_scores(s, [inst.label for inst in pool]) for s, pool in zip(scores, pools)]
     return recall_at_k(ranked, n=sizes.pop(), k=1)
 
 
@@ -342,6 +348,7 @@ def train(
         raise ValueError("dataset is empty")
     max_len = model_config.max_seq_len
     rng = np.random.default_rng(train_config.seed)
+    dropout_rng = np.random.default_rng(train_config.seed + DROPOUT_SEED_OFFSET)
 
     if train_config.freeze_speaker_table:
         params["speaker_table"][:] = 0.0
@@ -391,7 +398,7 @@ def train(
             if phase == "finetune":
                 loss, grads = _finetune_batch(
                     [encoded_cache[j] for j in batch_idx], labels_cache[batch_idx],
-                    params, model_config,
+                    params, model_config, dropout_rng,
                 )
             else:
                 encoded, plans, labels = [], [], []
@@ -406,7 +413,7 @@ def train(
                     plans.append(plan)
                     labels.append(label)
                 loss, grads = _adaptation_batch(
-                    encoded, plans, np.array(labels), params, model_config, train_config
+                    encoded, plans, np.array(labels), params, model_config, train_config, dropout_rng
                 )
             if not math.isfinite(loss):
                 raise TrainingDiverged("non-finite loss at step %d" % step)
@@ -419,7 +426,7 @@ def train(
                 metric = _adaptation_eval_loss(*val_fixed, params, model_config, train_config)
                 better = best_metric is None or metric < best_metric
             else:
-                metric = _validation_recall_at_1(validation, params, model_config, vocab, max_len)
+                metric = _validation_recall_at_1(validation, params, model_config, vocab)
                 better = best_metric is None or metric > best_metric
             validation_history.append(metric)
             if better:

@@ -1,3 +1,4 @@
+import io
 import json
 from pathlib import Path
 
@@ -32,6 +33,15 @@ def workdir(tmp_path):
     pool_lines = (DATA_DIR / "valid_pools.jsonl").read_text().splitlines(True)
     pools.write_text("".join(pool_lines))
     return tmp_path
+
+
+def _npy_bytes() -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, np.arange(3.0))
+    return buffer.getvalue()
+
+
+NPY_BYTES = _npy_bytes()  # a single .npy array, not an .npz archive
 
 
 def run(*argv):
@@ -202,6 +212,25 @@ class TestTrainingCommands:
             assert np.array_equal(a[name], b[name]), name
         assert (workdir / "a.npz.csv").read_text() == (workdir / "b.npz.csv").read_text()
 
+    def test_dropout_config_trains_and_replays(self, workdir):
+        config = json.loads((workdir / "config.json").read_text())
+        config["model"]["dropout_rate"] = 0.1
+        (workdir / "dropout.json").write_text(json.dumps(config))
+        vocab = self._vocab(workdir)
+        outs = [workdir / "d1.npz", workdir / "d2.npz"]
+        for out in outs:
+            assert run("finetune", "--data", workdir / "train.tsv", "--vocab", vocab,
+                       "--config", workdir / "dropout.json", "--checkpoint-out", out,
+                       "--validation", workdir / "pools.jsonl", "--seed", "0",
+                       "--loss-log", str(out) + ".csv") == 0
+        _, a = load_checkpoint(outs[0])
+        _, b = load_checkpoint(outs[1])
+        for name in a:
+            assert np.array_equal(a[name], b[name]), name
+        assert (workdir / "d1.npz.csv").read_text() == (workdir / "d2.npz.csv").read_text()
+        assert run("evaluate", "--pools", workdir / "pools.jsonl", "--checkpoint", outs[0],
+                   "--vocab", vocab) == 0
+
     def test_malformed_tsv_is_data_error(self, workdir):
         vocab = self._vocab(workdir)
         bad = workdir / "bad.tsv"
@@ -292,6 +321,66 @@ class TestEvaluate:
         assert "R@10,3=" in capsys.readouterr().out
 
 
+    @staticmethod
+    def _untrained(workdir, pools):
+        """A vocabulary built from ``pools`` and a freshly initialised checkpoint."""
+        from replyrank.model import ModelConfig, init_params, save_checkpoint
+        from replyrank.tokenizer import Vocabulary
+
+        vocab = workdir / "pool_vocab.txt"
+        assert run("build-vocab", "--input", pools, "--format", "jsonl", "--out", vocab) == 0
+        config = ModelConfig(vocab_size=len(Vocabulary.load(vocab)), **MINI_CONFIG["model"])
+        ckpt = workdir / "untrained.npz"
+        save_checkpoint(ckpt, config, init_params(config))
+        return vocab, ckpt
+
+    @staticmethod
+    def _write_pools(path, sizes, candidate_text="fine thanks"):
+        lines = []
+        for size in sizes:
+            candidates = [{"text": candidate_text if i == 0 else "other reply %d" % i, "from": "a", "label": int(i == 0)}
+                          for i in range(size)]
+            lines.append({"index": 0, "from": "a", "to": "b", "text": "how are you"})
+            lines.append({"index": 1, "from": "b", "to": "a", "text": "good and you", "candidates": candidates})
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+    def test_mixed_pool_sizes_with_explicit_recall(self, workdir, capsys):
+        pools = workdir / "mixed.jsonl"
+        self._write_pools(pools, [2, 3])
+        vocab, ckpt = self._untrained(workdir, pools)
+        capsys.readouterr()
+        assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab,
+                   "--recall", "2:1") == 0
+        assert "R@2,1=" in capsys.readouterr().out
+        # default cutoffs need one pool size
+        assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab) == 2
+        assert "mixed candidate counts" in capsys.readouterr().err
+
+    def test_non_string_candidate_is_data_error(self, workdir, capsys):
+        pools = workdir / "good.jsonl"
+        self._write_pools(pools, [2])
+        vocab, ckpt = self._untrained(workdir, pools)
+        bad = workdir / "bad.jsonl"
+        bad.write_text(pools.read_text().replace('"fine thanks"', "42"))
+        capsys.readouterr()
+        assert run("evaluate", "--pools", bad, "--checkpoint", ckpt, "--vocab", vocab) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: record 2: candidate 'text'")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("content", [b"not an archive", b"PK\x03\x04truncated", b"", NPY_BYTES])
+    def test_corrupt_checkpoint_is_data_error(self, workdir, capsys, content):
+        pools = workdir / "good.jsonl"
+        self._write_pools(pools, [2])
+        vocab, _ = self._untrained(workdir, pools)
+        ckpt = workdir / "corrupt.npz"
+        ckpt.write_bytes(content)
+        capsys.readouterr()
+        assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab) == 2
+        err = capsys.readouterr().err
+        assert err == "data error: checkpoint %s is not a valid .npz\n" % ckpt
+
+
 class TestEncode:
     def test_prints_aligned_tracks(self, workdir, capsys):
         vocab = workdir / "vocab.txt"
@@ -302,8 +391,11 @@ class TestEncode:
         out = capsys.readouterr().out
         lines = out.splitlines()
         assert lines[0].split() == ["pos", "token", "id", "seg", "spk", "mask"]
-        assert len(lines) == 33
+        # one line per real position, within the --max-len budget; no padding rows
+        assert 1 < len(lines) <= 33
         assert "[CLS]" in lines[1]
+        assert lines[-1].split()[1] == "[SEP]"
+        assert all(line.split()[-1] == "1" for line in lines[1:])
 
     def test_row_out_of_range(self, workdir):
         vocab = workdir / "vocab.txt"

@@ -143,6 +143,36 @@ class TestLoadChannel:
         # the accumulator resets between pools, so indices may restart
         assert pools[1].context[0].index == 0
 
+    @staticmethod
+    def _load_one_candidate(tmp_path, **candidate):
+        entry = {"text": "thanks", "from": "alice", "label": 1, **candidate}
+        path = tmp_path / "pools.jsonl"
+        path.write_text(json.dumps({"index": 0, "from": "bob", "text": "hi", "candidates": [entry]}) + "\n")
+        return load_channel(path, "jsonl")
+
+    def test_candidate_text_must_be_string(self, tmp_path):
+        with pytest.raises(CorpusError, match="record 1: candidate 'text'"):
+            self._load_one_candidate(tmp_path, text=["not", "text"])
+
+    def test_candidate_from_must_be_string(self, tmp_path):
+        with pytest.raises(CorpusError, match="record 1: candidate 'from'"):
+            self._load_one_candidate(tmp_path, **{"from": 7})
+
+    def test_candidate_to_must_be_string_or_null(self, tmp_path):
+        with pytest.raises(CorpusError, match="record 1: candidate 'to'"):
+            self._load_one_candidate(tmp_path, to={"name": "bob"})
+        assert self._load_one_candidate(tmp_path, to=None)[0].candidates[0][0].spoken_to is None
+
+    def test_candidate_label_rejects_booleans(self, tmp_path):
+        with pytest.raises(CorpusError, match="candidate label"):
+            self._load_one_candidate(tmp_path, label=True)
+
+    def test_candidate_must_be_object(self, tmp_path):
+        path = tmp_path / "pools.jsonl"
+        path.write_text(json.dumps({"index": 0, "from": "bob", "text": "hi", "candidates": ["thanks"]}) + "\n")
+        with pytest.raises(CorpusError, match="record 1: each candidate"):
+            load_channel(path, "jsonl")
+
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "x"
         path.write_text("")

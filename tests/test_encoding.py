@@ -88,11 +88,11 @@ class TestBuildInput:
         context = [(utt(0, "A", text="hi"), 1)]
         response = utt(1, "B", text="hello")
         enc = build_input(context, response, 2, vocab, max_len=10)
-        assert enc.token_ids == (CLS, hi, EOU, EOT, SEP, hello, SEP, PAD, PAD, PAD)
-        assert enc.speaker_ids == (0, 1, 1, 1, 0, 2, 0, 0, 0, 0)
-        assert enc.segment_ids == (0, 0, 0, 0, 0, 1, 1, 0, 0, 0)
-        assert enc.attention_mask == (1, 1, 1, 1, 1, 1, 1, 0, 0, 0)
-        assert enc.position_ids == tuple(range(10))
+        assert enc.token_ids == (CLS, hi, EOU, EOT, SEP, hello, SEP)
+        assert enc.speaker_ids == (0, 1, 1, 1, 0, 2, 0)
+        assert enc.segment_ids == (0, 0, 0, 0, 0, 1, 1)
+        assert enc.attention_mask == (1, 1, 1, 1, 1, 1, 1)
+        assert enc.position_ids == tuple(range(7))
 
     def test_empty_context_rejected(self):
         vocab = build_vocab(["x"], 1, 100)
@@ -105,10 +105,11 @@ class TestBuildInput:
         context = [(utt(i, "A" if i % 2 == 0 else "B", text=text), 1 + i % 2) for i in range(10)]
         response = utt(10, "A", text="w00 w01 w02")
         enc = build_input(context, response, 1, vocab, max_len=512)
+        # the budget is filled exactly, with real positions only
         assert len(enc) == 512
+        assert PAD not in enc.token_ids
         assert enc.token_ids[0] == CLS
-        non_pad = [t for t in enc.token_ids if t != PAD]
-        assert non_pad[-1] == SEP
+        assert enc.token_ids[-1] == SEP
         # response survives intact between the two separators
         resp_ids = tokenize("w00 w01 w02", vocab)
         sep_positions = [i for i, t in enumerate(enc.token_ids) if t == SEP]
@@ -197,5 +198,6 @@ class TestFormatTracks:
         dump = format_tracks(enc, VOCAB)
         lines = dump.splitlines()
         assert lines[0].split() == ["pos", "token", "id", "seg", "spk", "mask"]
-        assert len(lines) == 13
+        # [CLS] w01 [EOU] [EOT] [SEP] w02 [SEP]: one line per real position
+        assert len(lines) == 8
         assert "[CLS]" in lines[1]

@@ -341,6 +341,23 @@ class TestTrain:
         assert len(result.validation_history) == 3
         assert result.validation_history[result.best_epoch] == max(result.validation_history)
 
+    def test_dropout_config_trains_and_replays(self):
+        from dataclasses import replace
+
+        config = replace(self.config, dropout_rate=0.2)
+        tc = TrainConfig(learning_rate=1e-3, batch_size=8, max_epochs=2, seed=0)
+        runs = {}
+        for name, model_config in (("a", config), ("b", config), ("plain", self.config)):
+            for phase in ("adapt", "finetune"):
+                params = init_params(self.config, np.random.default_rng(3))
+                runs[name, phase] = train(phase, self.instances, params, model_config, tc, self.vocab)
+        for phase in ("adapt", "finetune"):
+            a, b, plain = runs["a", phase], runs["b", phase], runs["plain", phase]
+            assert a.log == b.log
+            for name in a.params:
+                assert np.array_equal(a.params[name], b.params[name]), name
+            assert [e.loss for e in a.log] != [e.loss for e in plain.log]
+
 
 class TestTrainConfig:
     def test_defaults_follow_training_recipe(self):
