@@ -19,9 +19,9 @@ from .evaluation import (
     recall_at_k,
     select_threshold,
 )
-from .model import ModelConfig, backward, forward, init_params, score
+from .model import ModelConfig, backward, forward_batch, init_params, score_batch, stack_inputs
 from .tokenizer import Vocabulary, build_vocab, detokenize, tokenize
-from .training import TrainConfig, adaptation_loss, finetune_loss, plan_masking, train
+from .training import TrainConfig, plan_masking, train
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "TrainConfig",
     "Utterance",
     "Vocabulary",
-    "adaptation_loss",
     "assign_speaker_roles",
     "backward",
     "build_input",
@@ -48,8 +47,7 @@ __all__ = [
     "detokenize",
     "encode_instance",
     "filter_channel",
-    "finetune_loss",
-    "forward",
+    "forward_batch",
     "init_params",
     "mark_turns",
     "mean_average_precision",
@@ -58,8 +56,9 @@ __all__ = [
     "precision_at_one",
     "rank_pool",
     "recall_at_k",
-    "score",
+    "score_batch",
     "select_threshold",
+    "stack_inputs",
     "tokenize",
     "train",
 ]

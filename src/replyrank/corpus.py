@@ -94,6 +94,8 @@ def parse_tsv_example(line: str, line_number: int = 1) -> DialogueExample:
         Utterance(index=i, spoken_from=alternating_speaker(i), spoken_to=None, text=text)
         for i, text in enumerate(texts[:-1])
     )
+    if not texts[-1].strip():
+        raise CorpusError("line %d: the response is empty" % line_number)
     m = len(context)
     response = Utterance(index=m, spoken_from=alternating_speaker(m), spoken_to=None, text=texts[-1])
     return DialogueExample(context=context, response=response, label=label)
@@ -163,7 +165,10 @@ def _candidate_to_utterance(entry, index: int, record_number: int) -> tuple[Utte
     if not isinstance(label, int) or isinstance(label, bool) or label not in (0, 1):
         raise CorpusError("record %d: candidate label must be 0 or 1, got %r" % (record_number, label))
     where = "record %d: candidate" % record_number
-    return _checked_utterance(index, spoken_from, entry.get("to"), text, where), label
+    utt = _checked_utterance(index, spoken_from, entry.get("to"), text, where)
+    if not text.strip():
+        raise CorpusError("%s 'text' is empty" % where)
+    return utt, label
 
 
 def _parse_jsonl_records(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:

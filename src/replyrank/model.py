@@ -1,11 +1,13 @@
 """A small transformer encoder over four summed embedding tracks, in numpy.
 
 The encoder follows the original post-layernorm convention (residual, then
-layernorm, GELU feed-forward) and carries three output heads: per-position
-vocabulary logits, a two-way next-utterance head and a scalar matching head,
-the latter two read from the final [CLS] position.  Forward retains a trace
-so ``backward`` can produce exact analytic gradients for every parameter
-tensor; everything runs in double precision for reproducibility.
+layernorm, GELU feed-forward) and carries three output heads: vocabulary
+logits at the positions a caller asks for (the masked positions during
+adaptation, none otherwise), a two-way next-utterance head and a scalar
+matching head, the latter two read from the final [CLS] position.  Forward
+retains a trace so ``backward`` can produce exact analytic gradients for
+every parameter tensor; everything runs in double precision for
+reproducibility.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        sizes = (self.vocab_size, self.hidden_dim, self.num_layers, self.num_heads, self.ffn_dim)
+        if not all(isinstance(n, int) and n >= 1 for n in sizes):
+            raise ValueError("vocab_size and the model dimensions must be positive integers")
         if self.hidden_dim % self.num_heads != 0:
             raise ValueError(
                 "hidden_dim %d not divisible by num_heads %d" % (self.hidden_dim, self.num_heads)
@@ -137,11 +142,6 @@ def validate_params(config: ModelConfig, params: dict[str, np.ndarray]) -> None:
             raise NumericError("parameter %s contains non-finite values" % name)
 
 
-def zero_speaker_table(params: dict[str, np.ndarray]) -> None:
-    """Ablation support: remove all speaker information from the model."""
-    params["speaker_table"][:] = 0.0
-
-
 # --- batching ---------------------------------------------------------------
 
 
@@ -225,6 +225,8 @@ class ForwardTrace:
     config: ModelConfig
     batch: Batch
     embeddings: np.ndarray
+    mlm_rows: np.ndarray
+    mlm_cols: np.ndarray
     layers: list[LayerTrace] = field(default_factory=list)
     final_hidden: np.ndarray | None = None
 
@@ -241,11 +243,6 @@ def embed_batch(batch: Batch, params: dict[str, np.ndarray], config: ModelConfig
         + params["position_table"][batch.position_ids]
         + params["speaker_table"][batch.speaker_ids]
     )
-
-
-def embed(enc: EncodedInput, params: dict[str, np.ndarray], config: ModelConfig) -> np.ndarray:
-    """Per-position sum of the token, segment, position and speaker tables."""
-    return embed_batch(stack_inputs([enc]), params, config)[0]
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
@@ -296,8 +293,15 @@ def forward_batch(
     params: dict[str, np.ndarray],
     config: ModelConfig,
     rng: np.random.Generator | None = None,
+    mlm_positions: tuple[np.ndarray, np.ndarray] | None = None,
 ):
-    """Run the encoder on a batch; returns head outputs plus the trace.
+    """Run the encoder on a batch: ``(match, mlm, nsp logits, trace)``.
+
+    Match logits are (B,) and pair logits (B, 2), both read at [CLS].
+    Vocabulary logits are computed only where ``mlm_positions``, a pair of
+    equal-length (row, position) index arrays, asks for them: they come back
+    as (M, vocab) in the order of the pairs, and as (0, vocab) when none are
+    requested, so no (B, L, vocab) array is ever built.
 
     The batch is as wide as ``stack_inputs`` made it.  Padded key positions
     receive -inf attention scores, so no activation at an unmasked position
@@ -307,10 +311,12 @@ def forward_batch(
     """
     if config.dropout_rate > 0.0 and rng is None:
         raise ValueError("dropout_rate > 0 requires an rng")
+    rows, cols = ((), ()) if mlm_positions is None else mlm_positions
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     x = embed_batch(batch, params, config)
     if not np.isfinite(x).all():
         raise NumericError("non-finite values in the embedding sum")
-    trace = ForwardTrace(config=config, batch=batch, embeddings=x)
+    trace = ForwardTrace(config=config, batch=batch, embeddings=x, mlm_rows=rows, mlm_cols=cols)
 
     key_mask = batch.attention_mask[:, None, None, :].astype(bool)
     scale = 1.0 / np.sqrt(config.hidden_dim // config.num_heads)
@@ -350,7 +356,7 @@ def forward_batch(
         x = x_out
 
     trace.final_hidden = x
-    mlm_logits = x @ params["mlm_head.w"] + params["mlm_head.b"]
+    mlm_logits = x[rows, cols] @ params["mlm_head.w"] + params["mlm_head.b"]
     cls = x[:, 0, :]
     nsp_logits = cls @ params["nsp_head.w"] + params["nsp_head.b"]
     match_logits = (cls @ params["match_head.w"])[:, 0] + params["match_head.b"][0]
@@ -362,18 +368,6 @@ def _dropout(x: np.ndarray, rate: float, rng: np.random.Generator | None):
         return x, None
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
     return x * mask, mask
-
-
-def forward(enc: EncodedInput, params: dict[str, np.ndarray], config: ModelConfig):
-    """Single-example forward: (match logit, per-position logits, pair logits, trace)."""
-    match_logits, mlm_logits, nsp_logits, trace = forward_batch(stack_inputs([enc]), params, config)
-    return match_logits[0], mlm_logits[0], nsp_logits[0], trace
-
-
-def score(enc: EncodedInput, params: dict[str, np.ndarray], config: ModelConfig) -> float:
-    """Matching probability sigmoid(match logit) for one context-response pair."""
-    match_logit, _, _, _ = forward(enc, params, config)
-    return float(expit(match_logit))
 
 
 def score_batch(batch: Batch, params: dict[str, np.ndarray], config: ModelConfig) -> np.ndarray:
@@ -394,25 +388,29 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Exact gradients for every parameter given loss gradients at the heads.
 
-    ``d_match`` is (B,), ``d_nsp`` (B, 2) and ``d_mlm`` (B, L, vocab); any of
-    them may be zero arrays when a head does not participate in the loss.
+    ``d_match`` is (B,) and ``d_nsp`` (B, 2); either may be zeros when its
+    head does not take part in the loss.  ``d_mlm`` is (M, vocab), one row
+    per (row, position) pair the forward pass computed vocabulary logits
+    for, and is scattered back to those positions; it is (0, vocab) when the
+    forward requested none.
     """
     config = trace.config
     validate_params(config, params)
     if trace.final_hidden is None:
         raise ValueError("trace does not contain a completed forward pass")
     final = trace.final_hidden
-    b, l, h = final.shape
+    b, _, h = final.shape
     d_match = np.asarray(d_match, dtype=float).reshape(b)
     d_nsp = np.asarray(d_nsp, dtype=float).reshape(b, 2)
-    d_mlm = np.asarray(d_mlm, dtype=float).reshape(b, l, config.vocab_size)
+    rows, cols = trace.mlm_rows, trace.mlm_cols
+    d_mlm = np.asarray(d_mlm, dtype=float).reshape(len(rows), config.vocab_size)
 
     grads = {name: np.zeros_like(tensor) for name, tensor in params.items()}
 
-    flat_final = final.reshape(-1, h)
-    grads["mlm_head.w"] += flat_final.T @ d_mlm.reshape(-1, config.vocab_size)
-    grads["mlm_head.b"] += d_mlm.sum(axis=(0, 1))
-    dx = d_mlm @ params["mlm_head.w"].T
+    grads["mlm_head.w"] += final[rows, cols].T @ d_mlm
+    grads["mlm_head.b"] += d_mlm.sum(axis=0)
+    dx = np.zeros_like(final)
+    np.add.at(dx, (rows, cols), d_mlm @ params["mlm_head.w"].T)
 
     cls = final[:, 0, :]
     grads["nsp_head.w"] += cls.T @ d_nsp
@@ -495,10 +493,19 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
         raise CheckpointError("checkpoint %s is not a valid .npz" % path) from exc
     if "__meta__" not in entries:
         raise CheckpointError("checkpoint %s is missing its metadata entry" % path)
-    meta = json.loads(str(entries.pop("__meta__")))
-    if meta.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError("unsupported checkpoint format %r" % meta.get("format"))
-    config = ModelConfig(**meta["config"])
+    try:
+        meta = json.loads(str(entries.pop("__meta__")))
+    except ValueError as exc:
+        raise CheckpointError("checkpoint %s has unreadable metadata" % path) from exc
+    version = meta.get("format") if isinstance(meta, dict) else None
+    if version != CHECKPOINT_FORMAT:
+        raise CheckpointError("unsupported checkpoint format %r" % version)
+    if not isinstance(meta.get("config"), dict):
+        raise CheckpointError("checkpoint %s metadata has no model config" % path)
+    try:
+        config = ModelConfig(**meta["config"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError("checkpoint %s has an invalid model config: %s" % (path, exc)) from exc
     params = {name: array.astype(float) for name, array in entries.items()}
     validate_params(config, params)
     return config, params

@@ -167,34 +167,6 @@ def _softmax_ce_rows(logits: np.ndarray, targets: np.ndarray):
     return losses, probs
 
 
-def adaptation_loss(
-    mlm_logits: np.ndarray,
-    plan: Sequence[MaskedPosition],
-    nsp_logits: np.ndarray,
-    nsp_label: int,
-    mlm_weight: float = 1.0,
-    nsp_weight: float = 1.0,
-) -> float:
-    """Weighted sum of the mean masked-token cross-entropy and the pair loss.
-
-    Reconstruction targets are always the pre-corruption original ids.
-    """
-    if not plan:
-        raise ValueError("masking plan is empty")
-    rows = np.stack([mlm_logits[pos.index] for pos in plan])
-    targets = np.array([pos.original_id for pos in plan])
-    mlm_losses, _ = _softmax_ce_rows(rows, targets)
-    nsp_losses, _ = _softmax_ce_rows(np.asarray(nsp_logits)[None, :], np.array([nsp_label]))
-    return float(mlm_weight * mlm_losses.mean() + nsp_weight * nsp_losses[0])
-
-
-def finetune_loss(score: float, label: int) -> float:
-    """Binary cross-entropy of a matching probability against its label."""
-    if not 0.0 < score < 1.0:
-        raise ValueError("score must lie strictly inside (0, 1), got %r" % score)
-    return -(label * math.log(score) + (1 - label) * math.log(1.0 - score))
-
-
 # --- optimizer ----------------------------------------------------------------
 
 
@@ -259,13 +231,41 @@ def _finetune_batch(
     encoded: list[EncodedInput], labels: np.ndarray, params, model_config, dropout_rng=None
 ):
     batch = stack_inputs(encoded)
-    match_logits, _, _, trace = forward_batch(batch, params, model_config, dropout_rng)
+    match_logits, mlm_logits, _, trace = forward_batch(batch, params, model_config, dropout_rng)
     losses = np.logaddexp(0.0, match_logits) - labels * match_logits
     d_match = (expit(match_logits) - labels) / len(labels)
     d_nsp = np.zeros((len(labels), 2))
-    d_mlm = np.zeros((len(labels), batch.token_ids.shape[1], model_config.vocab_size))
-    grads = backward(trace, params, d_match, d_nsp, d_mlm)
+    grads = backward(trace, params, d_match, d_nsp, np.zeros_like(mlm_logits))
     return float(losses.mean()), grads
+
+
+def _adaptation_forward(
+    encoded: list[EncodedInput],
+    plans: list[list[MaskedPosition]],
+    nsp_labels: np.ndarray,
+    params,
+    model_config,
+    train_config,
+    dropout_rng=None,
+):
+    """The adaptation objective on one batch: ``(loss, d_mlm, d_nsp, trace)``.
+
+    The loss is the weighted sum of the masked-token cross-entropy, averaged
+    over every masked position in the batch, and the mean pair loss.
+    Vocabulary logits are computed only at the masked positions; ``d_mlm``
+    holds one gradient row per position, in plan order.
+    """
+    rows = np.repeat(np.arange(len(plans)), [len(plan) for plan in plans])
+    cols = np.array([pos.index for plan in plans for pos in plan])
+    targets = np.array([pos.original_id for plan in plans for pos in plan])
+    batch = stack_inputs(encoded)
+    _, mlm_logits, nsp_logits, trace = forward_batch(batch, params, model_config, dropout_rng, (rows, cols))
+    mlm_losses, d_mlm = _softmax_ce_rows(mlm_logits, targets)
+    nsp_losses, d_nsp = _softmax_ce_rows(nsp_logits, nsp_labels)
+    total = train_config.mlm_weight * mlm_losses.mean() + train_config.nsp_weight * nsp_losses.mean()
+    d_mlm *= train_config.mlm_weight / len(targets)
+    d_nsp *= train_config.nsp_weight / len(nsp_labels)
+    return float(total), d_mlm, d_nsp, trace
 
 
 def _adaptation_batch(
@@ -277,37 +277,11 @@ def _adaptation_batch(
     train_config,
     dropout_rng=None,
 ):
-    batch = stack_inputs(encoded)
-    _, mlm_logits, nsp_logits, trace = forward_batch(batch, params, model_config, dropout_rng)
-
-    rows_b = np.array([b for b, plan in enumerate(plans) for _ in plan])
-    rows_i = np.array([pos.index for plan in plans for pos in plan])
-    targets = np.array([pos.original_id for plan in plans for pos in plan])
-    mlm_losses, mlm_grad_rows = _softmax_ce_rows(mlm_logits[rows_b, rows_i], targets)
-    nsp_losses, nsp_grad_rows = _softmax_ce_rows(nsp_logits, nsp_labels)
-
-    total = train_config.mlm_weight * mlm_losses.mean() + train_config.nsp_weight * nsp_losses.mean()
-
-    d_mlm = np.zeros_like(mlm_logits)
-    np.add.at(d_mlm, (rows_b, rows_i), mlm_grad_rows * (train_config.mlm_weight / len(targets)))
-    d_nsp = nsp_grad_rows * (train_config.nsp_weight / len(nsp_labels))
-    d_match = np.zeros(len(encoded))
-    grads = backward(trace, params, d_match, d_nsp, d_mlm)
-    return float(total), grads
-
-
-def _adaptation_eval_loss(encoded, plans, nsp_labels, params, model_config, train_config) -> float:
-    batch = stack_inputs(encoded)
-    _, mlm_logits, nsp_logits, _ = forward_batch(batch, params, replace(model_config, dropout_rate=0.0))
-    losses = []
-    for b, plan in enumerate(plans):
-        losses.append(
-            adaptation_loss(
-                mlm_logits[b], plan, nsp_logits[b], int(nsp_labels[b]),
-                train_config.mlm_weight, train_config.nsp_weight,
-            )
-        )
-    return float(np.mean(losses))
+    loss, d_mlm, d_nsp, trace = _adaptation_forward(
+        encoded, plans, nsp_labels, params, model_config, train_config, dropout_rng
+    )
+    grads = backward(trace, params, np.zeros(len(encoded)), d_nsp, d_mlm)
+    return loss, grads
 
 
 def _validation_recall_at_1(pools: Sequence[Sequence[MatchingInstance]], params, model_config, vocab) -> float:
@@ -423,7 +397,8 @@ def train(
 
         if validation is not None:
             if phase == "adapt":
-                metric = _adaptation_eval_loss(*val_fixed, params, model_config, train_config)
+                eval_config = replace(model_config, dropout_rate=0.0)
+                metric = _adaptation_forward(*val_fixed, params, eval_config, train_config)[0]
                 better = best_metric is None or metric < best_metric
             else:
                 metric = _validation_recall_at_1(validation, params, model_config, vocab)

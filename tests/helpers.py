@@ -69,9 +69,8 @@ def combined_loss(params, batch, config, mlm_targets, match_labels, nsp_labels):
     """Scalar loss exercising all three heads (used for finite differences)."""
     from scipy.special import logsumexp
 
-    match_logits, mlm_logits, nsp_logits, _ = forward_batch(batch, params, config)
     rows_b, rows_i, targets = mlm_targets
-    rows = mlm_logits[rows_b, rows_i]
+    match_logits, rows, nsp_logits, _ = forward_batch(batch, params, config, mlm_positions=(rows_b, rows_i))
     mlm = (logsumexp(rows, axis=-1) - rows[np.arange(len(targets)), targets]).mean()
     nsp_rows = nsp_logits
     nsp = (logsumexp(nsp_rows, axis=-1) - nsp_rows[np.arange(len(nsp_labels)), nsp_labels]).mean()
@@ -83,15 +82,13 @@ def combined_loss_grads(params, batch, config, mlm_targets, match_labels, nsp_la
     """Same loss, with analytic parameter gradients via the backward pass."""
     from scipy.special import expit, logsumexp
 
-    match_logits, mlm_logits, nsp_logits, trace = forward_batch(batch, params, config)
     rows_b, rows_i, targets = mlm_targets
+    match_logits, rows, nsp_logits, trace = forward_batch(batch, params, config, mlm_positions=(rows_b, rows_i))
 
-    rows = mlm_logits[rows_b, rows_i]
     log_z = logsumexp(rows, axis=-1)
     probs = np.exp(rows - log_z[:, None])
     probs[np.arange(len(targets)), targets] -= 1.0
-    d_mlm = np.zeros_like(mlm_logits)
-    np.add.at(d_mlm, (rows_b, rows_i), probs / len(targets))
+    d_mlm = probs / len(targets)
 
     log_zn = logsumexp(nsp_logits, axis=-1)
     nprobs = np.exp(nsp_logits - log_zn[:, None])
@@ -100,6 +97,75 @@ def combined_loss_grads(params, batch, config, mlm_targets, match_labels, nsp_la
 
     d_match = (expit(match_logits) - match_labels) / len(match_labels)
     return backward(trace, params, d_match, d_nsp, d_mlm)
+
+
+# --- scalar and dense references for the training losses ------------------------
+
+
+def adaptation_loss(mlm_logits, plan, nsp_logits, nsp_label, mlm_weight=1.0, nsp_weight=1.0) -> float:
+    """One example's adapt loss from its (L, vocab) logits, position by position.
+
+    The weighted sum of the mean masked-token cross-entropy (targets are the
+    pre-corruption ids) and the pair loss.
+    """
+    from scipy.special import logsumexp
+
+    if not plan:
+        raise ValueError("masking plan is empty")
+    mlm = np.mean([logsumexp(mlm_logits[pos.index]) - mlm_logits[pos.index][pos.original_id] for pos in plan])
+    nsp = logsumexp(nsp_logits) - nsp_logits[nsp_label]
+    return float(mlm_weight * mlm + nsp_weight * nsp)
+
+
+def finetune_loss(score: float, label: int) -> float:
+    """Binary cross-entropy of a matching probability against its label."""
+    import math
+
+    if not 0.0 < score < 1.0:
+        raise ValueError("score must lie strictly inside (0, 1), got %r" % score)
+    return -(label * math.log(score) + (1 - label) * math.log(1.0 - score))
+
+
+def dense_adaptation_reference(encoded, plans, nsp_labels, params, config, train_config):
+    """The adapt loss and gradients computed over dense (B, L, vocab) logits.
+
+    The logits and the vocabulary head's gradients are computed here from the
+    final hidden states at every position, with a zero gradient row wherever
+    nothing is masked; the loss picks the masked rows out of the dense array.
+    The encoder gradients come from ``backward`` with every position
+    requested, so its scatter is checked by the finite-difference tests, not
+    by this reference.
+    """
+    from scipy.special import logsumexp
+
+    batch = stack_inputs(encoded)
+    b, l = batch.token_ids.shape
+    every = np.divmod(np.arange(b * l), l)
+    _, _, nsp_logits, trace = forward_batch(batch, params, config, mlm_positions=every)
+    final = trace.final_hidden
+    logits = final @ params["mlm_head.w"] + params["mlm_head.b"]
+
+    rows_b = np.array([row for row, plan in enumerate(plans) for _ in plan])
+    rows_i = np.array([pos.index for plan in plans for pos in plan])
+    targets = np.array([pos.original_id for plan in plans for pos in plan])
+    picked = logits[rows_b, rows_i]
+    log_z = logsumexp(picked, axis=-1)
+    mlm = (log_z - picked[np.arange(len(targets)), targets]).mean()
+    log_zn = logsumexp(nsp_logits, axis=-1)
+    nsp = (log_zn - nsp_logits[np.arange(b), nsp_labels]).mean()
+    loss = train_config.mlm_weight * mlm + train_config.nsp_weight * nsp
+
+    probs = np.exp(picked - log_z[:, None])
+    probs[np.arange(len(targets)), targets] -= 1.0
+    d_dense = np.zeros_like(logits)
+    np.add.at(d_dense, (rows_b, rows_i), probs * (train_config.mlm_weight / len(targets)))
+    nprobs = np.exp(nsp_logits - log_zn[:, None])
+    nprobs[np.arange(b), nsp_labels] -= 1.0
+    d_nsp = nprobs * (train_config.nsp_weight / b)
+    grads = backward(trace, params, np.zeros(b), d_nsp, d_dense.reshape(b * l, config.vocab_size))
+    grads["mlm_head.w"] = final.reshape(b * l, -1).T @ d_dense.reshape(b * l, config.vocab_size)
+    grads["mlm_head.b"] = d_dense.sum(axis=(0, 1))
+    return float(loss), grads
 
 
 def finite_difference_grads(loss_fn, params, eps=1e-4):

@@ -24,7 +24,7 @@ from replyrank.evaluation import (
 )
 from replyrank.model import (
     ModelConfig,
-    forward,
+    forward_batch,
     init_params,
     score_batch,
     stack_inputs,
@@ -175,9 +175,9 @@ def test_criterion_05_speaker_mechanism():
                                  freeze_speaker_table=True)
         train("finetune", instances, params, config, ablated_tc, VOCAB)
         for a, b in zip(instances[::2], instances[1::2]):
-            logit_a, _, _, _ = forward(encode_instance(a, VOCAB, 32), params, config)
-            logit_b, _, _, _ = forward(encode_instance(b, VOCAB, 32), params, config)
-            assert logit_a == logit_b  # bitwise
+            logit_a, _, _, _ = forward_batch(stack_inputs([encode_instance(a, VOCAB, 32)]), params, config)
+            logit_b, _, _, _ = forward_batch(stack_inputs([encode_instance(b, VOCAB, 32)]), params, config)
+            assert logit_a[0] == logit_b[0]  # bitwise
         assert accuracy(instances, params, config, VOCAB, 32) == 0.5
 
         # enabled: learnable within 500 steps

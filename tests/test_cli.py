@@ -181,7 +181,7 @@ class TestTrainingCommands:
         # otherwise identical input cannot move the trained model's score
         from replyrank.corpus import parse_tsv_example
         from replyrank.encoding import MatchingInstance, encode_instance, instance_from_example
-        from replyrank.model import score
+        from replyrank.model import score_batch, stack_inputs
         from replyrank.tokenizer import Vocabulary
 
         vv = Vocabulary.load(vocab)
@@ -193,8 +193,8 @@ class TestTrainingCommands:
             response_role=3 - inst.response_role,
             label=inst.label,
         )
-        a = score(encode_instance(inst, vv, config.max_seq_len), params, config)
-        b = score(encode_instance(swapped, vv, config.max_seq_len), params, config)
+        a = score_batch(stack_inputs([encode_instance(inst, vv, config.max_seq_len)]), params, config)[0]
+        b = score_batch(stack_inputs([encode_instance(swapped, vv, config.max_seq_len)]), params, config)[0]
         assert a == b  # bitwise
 
     def test_seeded_runs_bit_identical(self, workdir):
@@ -238,6 +238,16 @@ class TestTrainingCommands:
         assert run("finetune", "--data", bad, "--vocab", vocab,
                    "--config", workdir / "config.json",
                    "--checkpoint-out", workdir / "x.npz") == 2
+
+    def test_empty_tsv_response_is_data_error(self, workdir, capsys):
+        vocab = self._vocab(workdir)
+        bad = workdir / "bad.tsv"
+        bad.write_text("1\thow are you\tfine\n0\thow are you\t \n")
+        capsys.readouterr()
+        assert run("finetune", "--data", bad, "--vocab", vocab,
+                   "--config", workdir / "config.json",
+                   "--checkpoint-out", workdir / "x.npz") == 2
+        assert capsys.readouterr().err == "data error: line 2: the response is empty\n"
 
     def test_no_disentangle_uses_raw_pool_contexts(self, workdir):
         vocab = self._vocab(workdir)
@@ -366,6 +376,40 @@ class TestEvaluate:
         assert run("evaluate", "--pools", bad, "--checkpoint", ckpt, "--vocab", vocab) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: record 2: candidate 'text'")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("text", ["", "   "])
+    def test_empty_candidate_text_is_data_error(self, workdir, capsys, text):
+        pools = workdir / "good.jsonl"
+        self._write_pools(pools, [2])
+        vocab, ckpt = self._untrained(workdir, pools)
+        bad = workdir / "bad.jsonl"
+        bad.write_text(pools.read_text().replace('"fine thanks"', json.dumps(text)))
+        capsys.readouterr()
+        assert run("evaluate", "--pools", bad, "--checkpoint", ckpt, "--vocab", vocab) == 2
+        assert capsys.readouterr().err == "data error: record 2: candidate 'text' is empty\n"
+
+    @pytest.mark.parametrize(
+        "meta, message",
+        [
+            ({"format": 1, "config": {"vocab_size": 10, "bogus": 1}}, "unexpected keyword argument 'bogus'"),
+            ({"format": 1}, "metadata has no model config"),
+            ({"format": 1, "config": {"vocab_size": 10, "hidden_dim": 10, "num_heads": 3}},
+             "hidden_dim 10 not divisible by num_heads 3"),
+        ],
+        ids=["unknown-key", "missing-config", "invalid-value"],
+    )
+    def test_bad_checkpoint_metadata_is_data_error(self, workdir, capsys, meta, message):
+        pools = workdir / "good.jsonl"
+        self._write_pools(pools, [2])
+        vocab, _ = self._untrained(workdir, pools)
+        ckpt = workdir / "bad_meta.npz"
+        np.savez(ckpt, __meta__=np.array(json.dumps(meta)))
+        capsys.readouterr()
+        assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: checkpoint %s" % ckpt)
+        assert message in err
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("content", [b"not an archive", b"PK\x03\x04truncated", b"", NPY_BYTES])

@@ -42,6 +42,11 @@ class TestParseTsvExample:
         with pytest.raises(CorpusError, match="label"):
             parse_tsv_example("2\ta\tb")
 
+    @pytest.mark.parametrize("response", ["", "  ", " \u3000"])
+    def test_empty_response_rejected(self, response):
+        with pytest.raises(CorpusError, match="line 4: the response is empty"):
+            parse_tsv_example("1\thello\t" + response, line_number=4)
+
     def test_alternation_property(self, rng):
         # even context indices share one speaker, odd the other; the response
         # continues the pattern
@@ -153,6 +158,12 @@ class TestLoadChannel:
     def test_candidate_text_must_be_string(self, tmp_path):
         with pytest.raises(CorpusError, match="record 1: candidate 'text'"):
             self._load_one_candidate(tmp_path, text=["not", "text"])
+
+    @pytest.mark.parametrize("text", ["", " \t\n"])
+    def test_candidate_text_must_not_be_empty(self, tmp_path, text):
+        with pytest.raises(CorpusError, match="record 1: candidate 'text' is empty"):
+            self._load_one_candidate(tmp_path, text=text)
+        assert self._load_one_candidate(tmp_path, text="?")[0].candidates[0][0].text == "?"
 
     def test_candidate_from_must_be_string(self, tmp_path):
         with pytest.raises(CorpusError, match="record 1: candidate 'from'"):

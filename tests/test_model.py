@@ -6,17 +6,14 @@ from replyrank.model import (
     ModelConfig,
     NumericError,
     backward,
-    embed,
-    forward,
     forward_batch,
     init_params,
     load_checkpoint,
     param_shapes,
     save_checkpoint,
-    score,
+    score_batch,
     stack_inputs,
     validate_params,
-    zero_speaker_table,
 )
 from replyrank.tokenizer import CLS, PAD, SEP
 from helpers import (
@@ -28,6 +25,22 @@ from helpers import (
     random_encoded,
     tiny_model_config,
 )
+
+
+def embed(enc, params, config):
+    """Per-position embedding sum of one input, as the forward pass records it."""
+    return forward_batch(stack_inputs([enc]), params, config)[3].embeddings[0]
+
+
+def forward(enc, params, config, mlm_positions=()):
+    """Head outputs for one input; vocabulary logits at ``mlm_positions`` only."""
+    positions = (np.zeros(len(mlm_positions), dtype=int), np.asarray(mlm_positions, dtype=int))
+    match, mlm, nsp, trace = forward_batch(stack_inputs([enc]), params, config, mlm_positions=positions)
+    return match[0], mlm, nsp[0], trace
+
+
+def score(enc, params, config):
+    return float(score_batch(stack_inputs([enc]), params, config)[0])
 
 
 def simple_input(length=12, content=(7, 8, 9, 10), speakers=(1, 1, 2, 2)):
@@ -106,8 +119,10 @@ class TestForward:
         config = tiny_model_config(vocab_size=16, max_seq_len=12)
         params = init_params(config)
         enc = simple_input()
-        a = forward(enc, params, config)
-        b = forward(enc, params, config)
+        live = [i for i, m in enumerate(enc.attention_mask) if m == 1]
+        a = forward(enc, params, config, live)
+        b = forward(enc, params, config, live)
+        assert a[1].shape == (len(live), config.vocab_size)
         assert a[0] == b[0]
         assert np.array_equal(a[1], b[1])
         assert np.array_equal(a[2], b[2])
@@ -128,11 +143,11 @@ class TestForward:
             speaker_ids=enc.speaker_ids,
             attention_mask=enc.attention_mask,
         )
-        m1, mlm1, nsp1, _ = forward(enc, params, config)
-        m2, mlm2, nsp2, _ = forward(tampered, params, config)
+        m1, mlm1, nsp1, _ = forward(enc, params, config, live)
+        m2, mlm2, nsp2, _ = forward(tampered, params, config, live)
         assert m1 == m2
         assert np.array_equal(nsp1, nsp2)
-        assert np.array_equal(mlm1[live], mlm2[live])
+        assert np.array_equal(mlm1, mlm2)
 
     def test_attention_rows_sum_to_one(self, rng):
         config = tiny_model_config(vocab_size=32, max_seq_len=32)
@@ -205,7 +220,7 @@ class TestScore:
     def test_speaker_ablation_identity(self):
         config = tiny_model_config(vocab_size=16, max_seq_len=12)
         params = init_params(config, np.random.default_rng(3))
-        zero_speaker_table(params)
+        params["speaker_table"][:] = 0.0
         a = simple_input(speakers=(1, 1, 2, 2))
         b = simple_input(speakers=(2, 2, 1, 1))
         la, _, _, _ = forward(a, params, config)
@@ -217,8 +232,7 @@ class TestBackward:
     def test_zero_head_gradients_give_zero_param_gradients(self, rng):
         config = tiny_model_config(vocab_size=16, max_seq_len=12)
         params = init_params(config)
-        batch = stack_inputs([simple_input()])
-        _, mlm, nsp, trace = forward_batch(batch, params, config)
+        _, mlm, _, trace = forward(simple_input(), params, config, mlm_positions=[1, 2, 4])
         grads = backward(trace, params, np.zeros(1), np.zeros((1, 2)), np.zeros_like(mlm))
         for name, grad in grads.items():
             assert np.all(grad == 0.0), name
@@ -278,6 +292,11 @@ class TestConfig:
     def test_head_divisibility(self):
         with pytest.raises(ValueError):
             ModelConfig(vocab_size=16, hidden_dim=10, num_heads=3)
+
+    def test_dimensions_must_be_positive_integers(self):
+        for bad in (dict(num_heads=0), dict(hidden_dim=-4), dict(num_layers=1.5), dict(ffn_dim="64")):
+            with pytest.raises(ValueError, match="positive integers"):
+                ModelConfig(vocab_size=16, **bad)
 
     def test_speaker_role_floor(self):
         with pytest.raises(ValueError):

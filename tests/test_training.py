@@ -10,10 +10,8 @@ from replyrank.training import (
     AdamState,
     TrainConfig,
     adamw_step,
-    adaptation_loss,
     apply_masking,
     build_nsp_pair,
-    finetune_loss,
     linear_lr,
     plan_masking,
     train,
@@ -21,6 +19,8 @@ from replyrank.training import (
 )
 from helpers import (
     VOCAB,
+    adaptation_loss,
+    finetune_loss,
     random_encoded,
     topic_instances,
     topic_vocab,
