@@ -7,7 +7,7 @@ ranking/evaluation harness.
 """
 
 from .corpus import CandidatePool, CorpusError, DialogueExample, Utterance
-from .disentangle import FilteredContext, MatchRole, assign_speaker_roles, cap_context, filter_channel
+from .disentangle import FilteredContext, MatchRole, cap_context, filter_channel
 from .encoding import EncodedInput, MatchingInstance, build_input, encode_instance, mark_turns
 from .evaluation import (
     MetricReport,
@@ -15,12 +15,11 @@ from .evaluation import (
     mean_average_precision,
     mean_reciprocal_rank,
     precision_at_one,
-    rank_pool,
     recall_at_k,
     select_threshold,
 )
 from .model import ModelConfig, backward, forward_batch, init_params, score_batch, stack_inputs
-from .tokenizer import Vocabulary, build_vocab, detokenize, tokenize
+from .tokenizer import Vocabulary, build_vocab, tokenize
 from .training import TrainConfig, plan_masking, train
 
 __version__ = "0.1.0"
@@ -39,12 +38,10 @@ __all__ = [
     "TrainConfig",
     "Utterance",
     "Vocabulary",
-    "assign_speaker_roles",
     "backward",
     "build_input",
     "build_vocab",
     "cap_context",
-    "detokenize",
     "encode_instance",
     "filter_channel",
     "forward_batch",
@@ -54,7 +51,6 @@ __all__ = [
     "mean_reciprocal_rank",
     "plan_masking",
     "precision_at_one",
-    "rank_pool",
     "recall_at_k",
     "score_batch",
     "select_threshold",

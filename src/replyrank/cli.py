@@ -21,24 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import CandidatePool, CorpusError, extract_spoken_to, load_channel, write_channel
+from .corpus import CandidatePool, CorpusError, DialogueExample, extract_spoken_to, load_channel, write_channel
 from .disentangle import DEFAULT_CONTEXT_CAP, cap_context, filter_channel
-from .encoding import (
-    MatchingInstance,
-    assign_roles_by_appearance,
-    encode_instance,
-    format_tracks,
-    instance_from_example,
-    instance_from_filtered,
-)
-from .evaluation import (
-    DEFAULT_THRESHOLD_GRID,
-    apply_no_answer,
-    compute_report,
-    format_report,
-    rank_scores,
-    select_threshold,
-)
+from .encoding import MatchingInstance, encode_instance, format_tracks, instance_from_example, instance_from_filtered
+from .evaluation import DEFAULT_THRESHOLD_GRID, compute_report, format_report, rank_scores, select_threshold
 from .model import (
     CheckpointError,
     ModelConfig,
@@ -120,6 +106,7 @@ def _load_config(name: str | None) -> dict:
 
 
 def _pool_instances(pool: CandidatePool, num_roles: int, disentangle: bool, cap: int) -> list[MatchingInstance]:
+    """One instance per candidate: its speaker's filtered thread, else the raw context tail."""
     instances = []
     for candidate, label in pool.candidates:
         if disentangle:
@@ -129,25 +116,15 @@ def _pool_instances(pool: CandidatePool, num_roles: int, disentangle: bool, cap:
                     instance_from_filtered(filtered, candidate, label, max_utterances=cap)
                 )
                 continue
-        context = pool.context[-cap:]
-        roles = assign_roles_by_appearance(
-            [u.spoken_from for u in context] + [candidate.spoken_from], num_roles
-        )
-        instances.append(
-            MatchingInstance(
-                context=tuple((u, roles[u.spoken_from]) for u in context),
-                response=candidate,
-                response_role=roles[candidate.spoken_from],
-                label=label,
-            )
-        )
+        example = DialogueExample(context=pool.context[-cap:], response=candidate, label=label)
+        instances.append(instance_from_example(example, num_roles))
     return instances
 
 
 def _load_instances(path: str, fmt: str, num_roles: int, disentangle: bool, cap: int) -> list[MatchingInstance]:
     loaded = load_channel(path, fmt)
     if fmt == "tsv":
-        return [instance_from_example(ex, num_roles) for ex in loaded]
+        return [instance_from_example(replace(ex, context=ex.context[-cap:]), num_roles) for ex in loaded]
     if loaded and isinstance(loaded[0], CandidatePool):
         instances = []
         for pool in loaded:
@@ -281,8 +258,6 @@ def _prepare_training(args, phase: str):
         except TypeError as exc:
             raise UsageError("bad model config: %s" % exc) from exc
         params = init_params(model_config, np.random.default_rng(seed))
-    if args.no_speaker_embeddings:
-        params["speaker_table"][:] = 0.0
     return vocab, model_config, train_config, params, seed
 
 
@@ -300,6 +275,9 @@ def _run_phase(args, phase: str) -> int:
                 args.validation, model_config.num_speaker_roles,
                 disentangle=not args.no_disentangle, cap=args.cap,
             )
+            sizes = sorted({len(pool) for pool in validation})
+            if len(sizes) > 1:
+                raise CorpusError("validation pools in %s have mixed candidate counts %s" % (args.validation, sizes))
         else:
             validation = [
                 inst
@@ -368,7 +346,6 @@ def cmd_evaluate(args) -> int:
     threshold = None
     if args.threshold_sweep:
         threshold = select_threshold(ranked, DEFAULT_THRESHOLD_GRID)
-        ranked = apply_no_answer(ranked, threshold)
     report = compute_report(ranked, cutoffs, threshold)
     text = format_report(report)
     print(text)
@@ -381,7 +358,7 @@ def cmd_evaluate(args) -> int:
 def cmd_encode(args) -> int:
     started = _now()
     vocab = Vocabulary.load(args.vocab)
-    instances = _load_instances(args.data, args.format, args.num_roles, disentangle=True, cap=args.cap)
+    instances = _load_instances(args.data, args.format, args.num_roles, not args.no_disentangle, args.cap)
     if not 0 <= args.row < len(instances):
         raise UsageError("--row %d out of range (have %d instances)" % (args.row, len(instances)))
     enc = encode_instance(instances[args.row], vocab, args.max_len)
@@ -400,15 +377,28 @@ def _now() -> str:
 # --- argument wiring ---------------------------------------------------------
 
 
-def _add_data_args(parser, with_format=True):
-    parser.add_argument("--data", required=True, help="training data file")
-    if with_format:
-        parser.add_argument("--format", choices=("tsv", "jsonl"), default="tsv",
-                            help="data format (default tsv)")
-    parser.add_argument("--cap", type=int, default=DEFAULT_CONTEXT_CAP,
-                        help="max context utterances kept per example")
+def _context_cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be an integer >= 1, got %r" % text)
+    return value
+
+
+def _add_context_args(parser):
+    parser.add_argument("--cap", type=_context_cap, default=DEFAULT_CONTEXT_CAP,
+                        help="max context utterances kept per example (>= 1)")
     parser.add_argument("--no-disentangle", action="store_true",
                         help="use raw pool contexts instead of speaker filtering")
+
+
+def _add_data_args(parser):
+    parser.add_argument("--data", required=True, help="training data file")
+    parser.add_argument("--format", choices=("tsv", "jsonl"), default="tsv",
+                        help="data format (default tsv)")
+    _add_context_args(parser)
 
 
 def _add_train_args(parser):
@@ -438,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("disentangle", help="filter an entangled channel for one speaker")
     p.add_argument("--channel", required=True, help="utterance channel JSONL")
     p.add_argument("--speaker", required=True, help="target (response) speaker")
-    p.add_argument("--cap", type=int, default=DEFAULT_CONTEXT_CAP)
+    p.add_argument("--cap", type=_context_cap, default=DEFAULT_CONTEXT_CAP)
     p.add_argument("--infer-addressees", action="store_true",
                    help="fill missing 'to' labels from name:/name, prefixes before filtering")
     p.add_argument("--out", required=True)
@@ -462,9 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--recall", help="comma-separated n:k cutoffs, e.g. 10:1,10:2,10:5,2:1")
     p.add_argument("--threshold-sweep", action="store_true",
-                   help="select a no-answer threshold on these pools")
-    p.add_argument("--cap", type=int, default=DEFAULT_CONTEXT_CAP)
-    p.add_argument("--no-disentangle", action="store_true")
+                   help="report the no-answer threshold chosen on these pools (changes no metric)")
+    _add_context_args(p)
     p.add_argument("--out", help="write the report to this file")
     p.set_defaults(func=cmd_evaluate)
 
@@ -474,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--row", type=int, default=0, help="which instance to show")
     p.add_argument("--max-len", type=int, default=64)
     p.add_argument("--num-roles", type=int, default=3)
-    p.add_argument("--inspect", action="store_true", help="print aligned id tracks (default behaviour)")
     p.add_argument("--out", help="also write the dump to this file")
     p.set_defaults(func=cmd_encode)
 

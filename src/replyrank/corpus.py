@@ -15,7 +15,7 @@ Two on-disk formats are supported:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -56,16 +56,14 @@ class DialogueExample:
 
 @dataclass(frozen=True)
 class CandidatePool:
-    """One context with a scored candidate set; ``has_answer`` tracks labels."""
+    """One context with its labelled candidate responses."""
 
     context: tuple[Utterance, ...]
     candidates: tuple[tuple[Utterance, int], ...]
-    has_answer: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.candidates:
             raise CorpusError("candidate pool has no candidates")
-        object.__setattr__(self, "has_answer", any(label == 1 for _, label in self.candidates))
 
 
 def alternating_speaker(position: int) -> str:
@@ -124,11 +122,6 @@ def _split_address_prefix(text: str) -> tuple[str, str, str]:
 
 
 # --- JSONL channel format -------------------------------------------------
-
-
-def utterance_to_record(utt: Utterance) -> dict:
-    record = {"index": utt.index, "from": utt.spoken_from, "to": utt.spoken_to, "text": utt.text}
-    return record
 
 
 def _require(record: dict, key: str, record_number: int):
@@ -238,36 +231,7 @@ def write_channel(path: str | Path, utterances: Iterable[Utterance], extra: dict
     """Write utterance records as JSONL; ``extra`` maps index -> extra fields."""
     with open(path, "w", encoding="utf-8") as fh:
         for utt in utterances:
-            record = utterance_to_record(utt)
+            record = {"index": utt.index, "from": utt.spoken_from, "to": utt.spoken_to, "text": utt.text}
             if extra and utt.index in extra:
                 record.update(extra[utt.index])
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-
-
-def pool_to_records(pool: CandidatePool) -> list[dict]:
-    records = [utterance_to_record(utt) for utt in pool.context]
-    entries = []
-    for utt, label in pool.candidates:
-        entry = {"text": utt.text, "from": utt.spoken_from, "label": label}
-        if utt.spoken_to is not None:
-            entry["to"] = utt.spoken_to
-        entries.append(entry)
-    records[-1]["candidates"] = entries
-    return records
-
-
-def write_pools(path: str | Path, pools: Iterable[CandidatePool]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for pool in pools:
-            for record in pool_to_records(pool):
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-
-
-def example_to_pool(example: DialogueExample) -> CandidatePool:
-    """View a (context, response, label) triple as a one-candidate pool."""
-    return CandidatePool(context=example.context, candidates=((example.response, example.label),))
-
-
-def pool_to_example(pool: CandidatePool, candidate: int = 0) -> DialogueExample:
-    utt, label = pool.candidates[candidate]
-    return DialogueExample(context=pool.context, response=utt, label=label)

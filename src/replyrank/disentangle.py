@@ -50,14 +50,6 @@ def filter_channel(channel: Sequence[Utterance], response_speaker: str) -> Filte
     return FilteredContext(utterances=tuple(kept), target_speaker=response_speaker)
 
 
-def assign_speaker_roles(filtered: FilteredContext) -> list[int]:
-    """Map match roles to speaker-role ids (1 = spoken-from, 2 = spoken-to).
-
-    Id 0 is reserved for non-utterance tokens and never produced here.
-    """
-    return [role.value for _, role in filtered.utterances]
-
-
 def cap_context(filtered: FilteredContext, max_utterances: int = DEFAULT_CONTEXT_CAP) -> FilteredContext:
     """Keep only the most recent ``max_utterances`` entries, order preserved."""
     if max_utterances < 1:

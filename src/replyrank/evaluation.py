@@ -1,22 +1,18 @@
 """Candidate ranking and retrieval metrics: R_n@k, MAP, MRR, P@1.
 
-Also implements the no-answer protocol for pools that may lack a correct
-response: a threshold is swept over a fixed grid on validation pools and a
-pool whose top score falls below it is predicted answerless (a correct
-abstention counts as a rank-1 hit).
+Also selects a no-answer threshold for pools that may lack a correct
+response: a threshold is swept over a fixed grid, scoring a pool whose top
+score falls below it as an abstention (a correct abstention counts as a
+rank-1 hit).  The threshold is reported; it changes no metric.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
-
-from .corpus import CandidatePool, Utterance
+from dataclasses import dataclass, field
+from typing import Sequence
 
 DEFAULT_THRESHOLD_GRID = tuple(round(0.60 + 0.05 * i, 2) for i in range(8))
-
-Scorer = Callable[[Sequence[Utterance], Utterance], float]
 
 
 @dataclass(frozen=True)
@@ -27,7 +23,6 @@ class RankedPool:
     labels: tuple[int, ...]
     ranking: tuple[int, ...]
     has_answer: bool
-    no_answer_predicted: bool = False
 
     @property
     def top_score(self) -> float:
@@ -58,30 +53,17 @@ def rank_scores(scores: Sequence[float], labels: Sequence[int]) -> RankedPool:
     )
 
 
-def rank_pool(pool: CandidatePool, scorer: Scorer) -> RankedPool:
-    """Score every candidate against the pool's context and rank them."""
-    scores = []
-    for i, (candidate, _) in enumerate(pool.candidates):
-        try:
-            scores.append(float(scorer(pool.context, candidate)))
-        except Exception as exc:
-            raise RuntimeError("scorer failed on candidate %d: %s" % (i, exc)) from exc
-    return rank_scores(scores, [label for _, label in pool.candidates])
-
-
-def _usable_pools(pools: Sequence[RankedPool], strict: bool, metric: str) -> list[RankedPool]:
+def _usable_pools(pools: Sequence[RankedPool], metric: str) -> list[RankedPool]:
     usable = [p for p in pools if p.has_answer]
     dropped = len(pools) - len(usable)
     if dropped:
-        if strict:
-            raise ValueError("%s: %d pool(s) contain no positive candidate" % (metric, dropped))
         warnings.warn("%s: excluded %d pool(s) without positives" % (metric, dropped))
     if not usable:
         raise ValueError("%s: no pools with positives to evaluate" % metric)
     return usable
 
 
-def recall_at_k(pools: Sequence[RankedPool], n: int, k: int, strict: bool = False) -> float:
+def recall_at_k(pools: Sequence[RankedPool], n: int, k: int) -> float:
     """Mean fraction of a pool's positives found in the top k of n candidates.
 
     Pools larger than n are restricted to their first n candidates (the
@@ -103,17 +85,15 @@ def recall_at_k(pools: Sequence[RankedPool], n: int, k: int, strict: bool = Fals
         hits = sum(pool.labels[i] for i in restricted[:k])
         values.append(hits / positives)
     if dropped:
-        if strict:
-            raise ValueError("recall_at_k: %d pool(s) contain no positive candidate" % dropped)
         warnings.warn("recall_at_k: excluded %d pool(s) without positives" % dropped)
     if not values:
         raise ValueError("recall_at_k: no pools with positives to evaluate")
     return sum(values) / len(values)
 
 
-def mean_average_precision(pools: Sequence[RankedPool], strict: bool = False) -> float:
+def mean_average_precision(pools: Sequence[RankedPool]) -> float:
     values = []
-    for pool in _usable_pools(pools, strict, "mean_average_precision"):
+    for pool in _usable_pools(pools, "mean_average_precision"):
         seen = 0
         precisions = []
         for rank, idx in enumerate(pool.ranking, start=1):
@@ -124,9 +104,9 @@ def mean_average_precision(pools: Sequence[RankedPool], strict: bool = False) ->
     return sum(values) / len(values)
 
 
-def mean_reciprocal_rank(pools: Sequence[RankedPool], strict: bool = False) -> float:
+def mean_reciprocal_rank(pools: Sequence[RankedPool]) -> float:
     values = []
-    for pool in _usable_pools(pools, strict, "mean_reciprocal_rank"):
+    for pool in _usable_pools(pools, "mean_reciprocal_rank"):
         for rank, idx in enumerate(pool.ranking, start=1):
             if pool.labels[idx] == 1:
                 values.append(1.0 / rank)
@@ -134,8 +114,8 @@ def mean_reciprocal_rank(pools: Sequence[RankedPool], strict: bool = False) -> f
     return sum(values) / len(values)
 
 
-def precision_at_one(pools: Sequence[RankedPool], strict: bool = False) -> float:
-    usable = _usable_pools(pools, strict, "precision_at_one")
+def precision_at_one(pools: Sequence[RankedPool]) -> float:
+    usable = _usable_pools(pools, "precision_at_one")
     return sum(pool.labels[pool.ranking[0]] for pool in usable) / len(usable)
 
 
@@ -174,22 +154,16 @@ def select_threshold(
     return best_tau
 
 
-def apply_no_answer(pools: Sequence[RankedPool], tau: float) -> list[RankedPool]:
-    """Mark pools whose top score falls below the threshold as answerless."""
-    return [replace(pool, no_answer_predicted=pool.top_score < tau) for pool in pools]
-
-
 def compute_report(
     pools: Sequence[RankedPool],
     recall_cutoffs: Sequence[tuple[int, int]],
     threshold_used: float | None = None,
-    strict: bool = False,
 ) -> MetricReport:
     return MetricReport(
-        recall_at={(n, k): recall_at_k(pools, n, k, strict=strict) for n, k in recall_cutoffs},
-        map_score=mean_average_precision(pools, strict=strict),
-        mrr=mean_reciprocal_rank(pools, strict=strict),
-        p_at_1=precision_at_one(pools, strict=strict),
+        recall_at={(n, k): recall_at_k(pools, n, k) for n, k in recall_cutoffs},
+        map_score=mean_average_precision(pools),
+        mrr=mean_reciprocal_rank(pools),
+        p_at_1=precision_at_one(pools),
         threshold_used=threshold_used,
     )
 

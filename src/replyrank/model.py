@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -63,19 +63,6 @@ class ModelConfig:
             raise ValueError("max_seq_len must be >= 8")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "hidden_dim": self.hidden_dim,
-            "num_layers": self.num_layers,
-            "num_heads": self.num_heads,
-            "ffn_dim": self.ffn_dim,
-            "max_seq_len": self.max_seq_len,
-            "num_speaker_roles": self.num_speaker_roles,
-            "dropout_rate": self.dropout_rate,
-            "seed": self.seed,
-        }
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -152,10 +139,6 @@ class Batch:
     position_ids: np.ndarray
     speaker_ids: np.ndarray
     attention_mask: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.token_ids.shape[0]
 
 
 _TRACKS = ("token_ids", "segment_ids", "position_ids", "speaker_ids", "attention_mask")
@@ -478,7 +461,7 @@ def backward(
 def save_checkpoint(path: str | Path, config: ModelConfig, params: dict[str, np.ndarray]) -> None:
     """Write a self-describing .npz checkpoint (config JSON plus named tensors)."""
     validate_params(config, params)
-    meta = json.dumps({"format": CHECKPOINT_FORMAT, "config": config.to_dict()})
+    meta = json.dumps({"format": CHECKPOINT_FORMAT, "config": asdict(config)})
     np.savez(path, __meta__=np.array(meta), **params)
 
 

@@ -103,13 +103,3 @@ def tokenize(text: str, vocab: Vocabulary) -> list[int]:
         UNK if token is None else vocab.token_to_id.get(token, UNK)
         for token in _split(text)
     ]
-
-
-def detokenize(ids: Iterable[int], vocab: Vocabulary) -> str:
-    """Space-join the token strings for ``ids`` (debugging/inspection)."""
-    tokens = []
-    for token_id in ids:
-        if not 0 <= token_id < len(vocab.id_to_token):
-            raise ValueError("token id %d out of range for vocabulary of size %d" % (token_id, len(vocab.id_to_token)))
-        tokens.append(vocab.id_to_token[token_id])
-    return " ".join(tokens)

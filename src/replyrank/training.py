@@ -158,6 +158,30 @@ def build_nsp_pair(
     return build_input(context, candidate, response_role, vocab, max_len), 0
 
 
+def _corrupted_pairs(
+    instances: Sequence[MatchingInstance],
+    response_pool: Sequence[Utterance],
+    vocab: Vocabulary,
+    max_len: int,
+    mask_fraction: float,
+    rng: np.random.Generator,
+) -> tuple[list[EncodedInput], list[list[MaskedPosition]], np.ndarray]:
+    """Pair and corrupt each instance: ``(masked encodings, plans, pair labels)``.
+
+    Per instance, the pair draw comes before the masking draws.
+    """
+    encoded, plans, labels = [], [], []
+    for inst in instances:
+        enc, label = build_nsp_pair(
+            inst.context, inst.response, inst.response_role, response_pool, vocab, max_len, rng
+        )
+        plan = plan_masking(enc, vocab, mask_fraction, rng)
+        encoded.append(apply_masking(enc, plan))
+        plans.append(plan)
+        labels.append(label)
+    return encoded, plans, np.array(labels)
+
+
 def _softmax_ce_rows(logits: np.ndarray, targets: np.ndarray):
     """Cross-entropy and its logit gradient for rows of logits."""
     log_z = logsumexp(logits, axis=-1)
@@ -335,20 +359,11 @@ def train(
         response_pool = [inst.response for inst in instances]
         if len(response_pool) < 2:
             raise ValueError("adaptation needs at least 2 distinct responses")
-        val_fixed = None
         if validation is not None:
-            val_rng = np.random.default_rng(train_config.seed + 104729)
-            val_enc, val_plans, val_labels = [], [], []
-            for inst in validation:
-                enc, label = build_nsp_pair(
-                    inst.context, inst.response, inst.response_role,
-                    response_pool, vocab, max_len, val_rng,
-                )
-                plan = plan_masking(enc, vocab, train_config.mask_fraction, val_rng)
-                val_enc.append(apply_masking(enc, plan))
-                val_plans.append(plan)
-                val_labels.append(label)
-            val_fixed = (val_enc, val_plans, np.array(val_labels))
+            val_fixed = _corrupted_pairs(
+                validation, response_pool, vocab, max_len, train_config.mask_fraction,
+                np.random.default_rng(train_config.seed + 104729),
+            )
     else:
         instances = list(dataset)
         encoded_cache = [encode_instance(inst, vocab, max_len) for inst in instances]
@@ -375,20 +390,11 @@ def train(
                     params, model_config, dropout_rng,
                 )
             else:
-                encoded, plans, labels = [], [], []
-                for j in batch_idx:
-                    inst = instances[j]
-                    enc, label = build_nsp_pair(
-                        inst.context, inst.response, inst.response_role,
-                        response_pool, vocab, max_len, rng,
-                    )
-                    plan = plan_masking(enc, vocab, train_config.mask_fraction, rng)
-                    encoded.append(apply_masking(enc, plan))
-                    plans.append(plan)
-                    labels.append(label)
-                loss, grads = _adaptation_batch(
-                    encoded, plans, np.array(labels), params, model_config, train_config, dropout_rng
+                corrupted = _corrupted_pairs(
+                    [instances[j] for j in batch_idx], response_pool, vocab, max_len,
+                    train_config.mask_fraction, rng,
                 )
+                loss, grads = _adaptation_batch(*corrupted, params, model_config, train_config, dropout_rng)
             if not math.isfinite(loss):
                 raise TrainingDiverged("non-finite loss at step %d" % step)
             adamw_step(params, grads, state, lr, train_config.weight_decay, frozen=frozen)

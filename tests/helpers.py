@@ -10,6 +10,16 @@ from replyrank.model import ModelConfig, backward, forward_batch, stack_inputs
 from replyrank.tokenizer import NUM_SPECIALS, Vocabulary, build_vocab
 
 
+def detokenize(ids, vocab: Vocabulary) -> str:
+    """Space-join the token strings for ``ids``: the round-trip oracle for ``tokenize``."""
+    tokens = []
+    for token_id in ids:
+        if not 0 <= token_id < len(vocab.id_to_token):
+            raise ValueError("token id %d out of range for vocabulary of size %d" % (token_id, len(vocab.id_to_token)))
+        tokens.append(vocab.id_to_token[token_id])
+    return " ".join(tokens)
+
+
 def make_vocab(words: list[str]) -> Vocabulary:
     return build_vocab([" ".join(words)], min_count=1, max_size=NUM_SPECIALS + len(words))
 

@@ -257,6 +257,20 @@ class TestTrainingCommands:
                    "--checkpoint-out", out, "--no-disentangle", "--seed", "0") == 0
         assert out.exists()
 
+    def test_mixed_validation_pool_sizes_is_data_error(self, workdir, capsys):
+        vocab = self._vocab(workdir)
+        validation = workdir / "mixed.jsonl"
+        TestEvaluate._write_pools(validation, [2, 3])
+        out = workdir / "model.npz"
+        capsys.readouterr()
+        assert run("finetune", "--data", workdir / "train.tsv", "--vocab", vocab,
+                   "--config", workdir / "config.json", "--checkpoint-out", out,
+                   "--validation", validation) == 2
+        assert capsys.readouterr().err == (
+            "data error: validation pools in %s have mixed candidate counts [2, 3]\n" % validation
+        )
+        assert not out.exists()  # rejected before any training step
+
     def test_config_dir_env_resolution(self, workdir, monkeypatch):
         configs = workdir / "cfgdir"
         configs.mkdir()
@@ -431,7 +445,7 @@ class TestEncode:
         assert run("build-vocab", "--input", workdir / "train.tsv", "--out", vocab) == 0
         capsys.readouterr()
         assert run("encode", "--data", workdir / "train.tsv", "--vocab", vocab,
-                   "--row", "0", "--max-len", "32", "--inspect") == 0
+                   "--row", "0", "--max-len", "32") == 0
         out = capsys.readouterr().out
         lines = out.splitlines()
         assert lines[0].split() == ["pos", "token", "id", "seg", "spk", "mask"]
@@ -446,3 +460,50 @@ class TestEncode:
         assert run("build-vocab", "--input", workdir / "train.tsv", "--out", vocab) == 0
         assert run("encode", "--data", workdir / "train.tsv", "--vocab", vocab,
                    "--row", "9999") == 1
+
+
+class TestContextCap:
+    @pytest.mark.parametrize("cap", [2, 30])
+    def test_cap_applies_to_tsv_context(self, tmp_path, capsys, cap):
+        data = tmp_path / "long.tsv"
+        data.write_text("1\t" + "\t".join("turn %d" % i for i in range(30)) + "\treply\n")
+        vocab = tmp_path / "vocab.txt"
+        assert run("build-vocab", "--input", data, "--out", vocab) == 0
+        capsys.readouterr()
+        assert run("encode", "--data", data, "--vocab", vocab, "--max-len", "512", "--cap", cap) == 0
+        tokens = [line.split()[1] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert tokens.count("[EOU]") == cap
+        # the kept utterances are the most recent ones
+        assert tokens[1:3] == ["turn", str(30 - cap)]
+
+    @pytest.mark.parametrize("flags, utterances", [([], 1), (["--no-disentangle"], 3), (["--no-disentangle", "--cap", "2"], 2)])
+    def test_encode_pool_context(self, tmp_path, capsys, flags, utterances):
+        data = tmp_path / "pool.jsonl"
+        records = [
+            {"index": 0, "from": "bob", "to": "amy", "text": "hi amy"},
+            {"index": 1, "from": "cat", "to": "dan", "text": "hello dan"},
+            {"index": 2, "from": "dan", "to": "cat", "text": "hey cat",
+             "candidates": [{"text": "how are you", "from": "amy", "label": 1}]},
+        ]
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        vocab = tmp_path / "vocab.txt"
+        assert run("build-vocab", "--input", data, "--format", "jsonl", "--out", vocab) == 0
+        capsys.readouterr()
+        assert run("encode", "--data", data, "--format", "jsonl", "--vocab", vocab, *flags) == 0
+        tokens = [line.split()[1] for line in capsys.readouterr().out.splitlines()[1:]]
+        # speaker filtering keeps only bob's line to amy; the raw tail keeps up to --cap lines
+        assert tokens.count("[EOU]") == utterances
+
+    @pytest.mark.parametrize("cap", ["0", "-1", "two"])
+    @pytest.mark.parametrize("command", ["encode", "evaluate", "disentangle"])
+    def test_cap_below_one_is_usage_error(self, workdir, capsys, command, cap):
+        argv = {
+            "encode": ["--data", workdir / "train.tsv", "--vocab", workdir / "vocab.txt"],
+            "evaluate": ["--pools", workdir / "pools.jsonl", "--checkpoint", workdir / "m.npz",
+                         "--vocab", workdir / "vocab.txt"],
+            "disentangle": ["--channel", workdir / "pools.jsonl", "--speaker", "a", "--out", workdir / "o.jsonl"],
+        }[command]
+        assert run(command, *argv, "--cap", cap) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument --cap: must be an integer >= 1")
+        assert len(err.strip().splitlines()) == 1

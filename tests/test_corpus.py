@@ -8,13 +8,9 @@ from replyrank.corpus import (
     DialogueExample,
     Utterance,
     alternating_speaker,
-    example_to_pool,
     extract_spoken_to,
     load_channel,
     parse_tsv_example,
-    pool_to_example,
-    pool_to_records,
-    write_pools,
 )
 
 
@@ -142,7 +138,8 @@ class TestLoadChannel:
         assert len(pools) == 2
         assert isinstance(pools[0], CandidatePool)
         assert len(pools[0].context) == 2
-        assert pools[0].has_answer and not pools[1].has_answer
+        assert [label for _, label in pools[0].candidates] == [1, 0]
+        assert [label for _, label in pools[1].candidates] == [0]
         # candidates sit one step past the closing context utterance
         assert pools[0].candidates[0][0].index == 2
         # the accumulator resets between pools, so indices may restart
@@ -192,30 +189,53 @@ class TestLoadChannel:
 
 
 class TestRoundTrip:
+    """A pool written as literal JSONL parses to the same triple as its TSV line."""
+
+    @staticmethod
+    def _load_pool(tmp_path, lines):
+        path = tmp_path / "pool.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        pools = load_channel(path, "jsonl")
+        assert len(pools) == 1
+        return pools[0]
+
     def test_example_jsonl_round_trip(self, tmp_path):
-        for line in ["1\thello\thi there\tgood, you?", "0\thow are you\tfine"]:
+        fixtures = {
+            "1\thello\thi there\tgood, you?": [
+                '{"index": 0, "from": "spk_A", "to": null, "text": "hello"}',
+                '{"index": 1, "from": "spk_B", "to": null, "text": "hi there", '
+                '"candidates": [{"text": "good, you?", "from": "spk_A", "label": 1}]}',
+            ],
+            "0\thow are you\tfine": [
+                '{"index": 0, "from": "spk_A", "to": null, "text": "how are you", '
+                '"candidates": [{"text": "fine", "from": "spk_B", "label": 0}]}',
+            ],
+        }
+        for line, records in fixtures.items():
             example = parse_tsv_example(line)
-            path = tmp_path / "ex.jsonl"
-            write_pools(path, [example_to_pool(example)])
-            loaded = load_channel(path, "jsonl")
-            assert len(loaded) == 1
-            assert pool_to_example(loaded[0]) == example
+            pool = self._load_pool(tmp_path, records)
+            assert pool.context == example.context
+            assert pool.candidates == ((example.response, example.label),)
 
     def test_random_examples_round_trip(self, tmp_path, rng):
         for trial in range(20):
             m = int(rng.integers(1, 8))
-            line = "%d\t" % (trial % 2) + "\t".join("token %d here" % i for i in range(m + 1))
-            example = parse_tsv_example(line)
-            path = tmp_path / "ex.jsonl"
-            write_pools(path, [example_to_pool(example)])
-            assert pool_to_example(load_channel(path, "jsonl")[0]) == example
+            texts = ["token %d here" % i for i in range(m + 1)]
+            example = parse_tsv_example("%d\t" % (trial % 2) + "\t".join(texts))
+            records = [{"index": i, "from": "spk_" + "AB"[i % 2], "text": text} for i, text in enumerate(texts[:-1])]
+            records[-1]["candidates"] = [{"text": texts[-1], "from": "spk_" + "AB"[m % 2], "label": trial % 2}]
+            pool = self._load_pool(tmp_path, [json.dumps(record) for record in records])
+            assert len(pool.context) == m
+            assert pool.context == example.context
+            assert pool.candidates == ((example.response, example.label),)
 
-    def test_pool_records_preserve_spoken_to(self):
-        utt = Utterance(index=0, spoken_from="a", spoken_to=None, text="q")
-        cand = Utterance(index=1, spoken_from="b", spoken_to="a", text="r")
-        pool = CandidatePool(context=(utt,), candidates=((cand, 1),))
-        records = pool_to_records(pool)
-        assert records[-1]["candidates"][0]["to"] == "a"
+    def test_pool_records_preserve_spoken_to(self, tmp_path):
+        pool = self._load_pool(tmp_path, [
+            '{"index": 0, "from": "a", "to": null, "text": "q", '
+            '"candidates": [{"text": "r", "from": "b", "to": "a", "label": 1}, '
+            '{"text": "s", "from": "c", "label": 0}]}',
+        ])
+        assert [(utt.spoken_to, label) for utt, label in pool.candidates] == [("a", 1), (None, 0)]
 
 
 class TestInvariants:
@@ -232,9 +252,3 @@ class TestInvariants:
         utt = Utterance(index=0, spoken_from="a", spoken_to=None, text="x")
         with pytest.raises(CorpusError):
             CandidatePool(context=(utt,), candidates=())
-
-    def test_has_answer_tracks_labels(self):
-        utt = Utterance(index=0, spoken_from="a", spoken_to=None, text="x")
-        cand = Utterance(index=1, spoken_from="b", spoken_to=None, text="y")
-        assert CandidatePool(context=(utt,), candidates=((cand, 1),)).has_answer
-        assert not CandidatePool(context=(utt,), candidates=((cand, 0),)).has_answer

@@ -4,7 +4,6 @@ from replyrank.disentangle import (
     DEFAULT_CONTEXT_CAP,
     FilteredContext,
     MatchRole,
-    assign_speaker_roles,
     cap_context,
     filter_channel,
 )
@@ -81,29 +80,6 @@ class TestFilterChannel:
             victim = rejected[int(rng.integers(len(rejected)))]
             thinner = [u for u in channel if u.index != victim.index]
             assert filter_channel(thinner, target).utterances == baseline.utterances
-
-
-class TestAssignSpeakerRoles:
-    def test_mapping(self):
-        filtered = FilteredContext(
-            utterances=(
-                (utt(0, "A"), MatchRole.FROM_MATCH),
-                (utt(1, "B"), MatchRole.TO_MATCH),
-                (utt(2, "A"), MatchRole.FROM_MATCH),
-            ),
-            target_speaker="A",
-        )
-        assert assign_speaker_roles(filtered) == [1, 2, 1]
-
-    def test_empty(self):
-        assert assign_speaker_roles(FilteredContext(utterances=(), target_speaker="A")) == []
-
-    def test_all_to_match(self):
-        filtered = FilteredContext(
-            utterances=tuple((utt(i, "B", spoken_to="A"), MatchRole.TO_MATCH) for i in range(3)),
-            target_speaker="A",
-        )
-        assert assign_speaker_roles(filtered) == [2, 2, 2]
 
 
 class TestCapContext:

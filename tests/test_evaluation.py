@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
-from replyrank.corpus import CandidatePool, Utterance
 from replyrank.evaluation import (
     DEFAULT_THRESHOLD_GRID,
-    apply_no_answer,
     compute_report,
     format_report,
     mean_average_precision,
     mean_reciprocal_rank,
     precision_at_one,
-    rank_pool,
     rank_scores,
     recall_at_k,
     select_threshold,
@@ -92,30 +89,6 @@ class TestRankScores:
             assert sorted(pool.ranking) == list(range(8))
 
 
-class TestRankPool:
-    def test_scorer_applied_per_candidate(self):
-        utt = Utterance(index=0, spoken_from="a", spoken_to=None, text="ctx")
-        cands = tuple(
-            (Utterance(index=1, spoken_from="b", spoken_to=None, text=t), label)
-            for t, label in [("good", 1), ("bad", 0)]
-        )
-        pool = CandidatePool(context=(utt,), candidates=cands)
-        ranked = rank_pool(pool, lambda ctx, cand: 0.9 if cand.text == "good" else 0.2)
-        assert ranked.ranking == (0, 1)
-        assert ranked.has_answer
-
-    def test_scorer_failure_names_candidate(self):
-        utt = Utterance(index=0, spoken_from="a", spoken_to=None, text="ctx")
-        cands = ((Utterance(index=1, spoken_from="b", spoken_to=None, text="x"), 1),)
-
-        def broken(ctx, cand):
-            raise RuntimeError("boom")
-
-        pool = CandidatePool(context=(utt,), candidates=cands)
-        with pytest.raises(RuntimeError, match="candidate 0"):
-            rank_pool(pool, broken)
-
-
 class TestRecallAtK:
     def test_single_positive_on_top(self):
         scores = [0.9] + [0.1] * 9
@@ -167,10 +140,8 @@ class TestRecallAtK:
         with pytest.raises(ValueError):
             recall_at_k([rank_scores([0.5], [1])], 10, 1)
 
-    def test_zero_positive_pool_strict(self):
+    def test_zero_positive_pool_excluded_with_warning(self):
         pools = [rank_scores([0.5, 0.4], [0, 0]), rank_scores([0.5, 0.4], [1, 0])]
-        with pytest.raises(ValueError):
-            recall_at_k(pools, 2, 1, strict=True)
         with pytest.warns(UserWarning):
             assert recall_at_k(pools, 2, 1) == 1.0
 
@@ -270,11 +241,6 @@ class TestSelectThreshold:
     def test_empty_grid(self):
         with pytest.raises(ValueError):
             select_threshold([rank_scores([0.5], [1])], grid=[])
-
-    def test_apply_no_answer(self):
-        pools = [rank_scores([0.7, 0.2], [0, 0]), rank_scores([0.9, 0.2], [1, 0])]
-        marked = apply_no_answer(pools, 0.75)
-        assert [p.no_answer_predicted for p in marked] == [True, False]
 
 
 class TestReport:

@@ -12,9 +12,9 @@ from replyrank.tokenizer import (
     UNK,
     Vocabulary,
     build_vocab,
-    detokenize,
     tokenize,
 )
+from helpers import detokenize
 
 
 class TestSpecials:
