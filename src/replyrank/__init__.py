@@ -1,7 +1,7 @@
 """Speaker-aware multi-turn response selection at desk scale.
 
 Pipeline pieces: corpus ingestion, speaker-based channel disentanglement, a
-deterministic tokenizer, four-track input encoding, a small numpy
+deterministic tokenizer, three-track input encoding, a small numpy
 transformer with exact analytic gradients, two-phase training and a
 ranking/evaluation harness.
 """

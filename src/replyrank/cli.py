@@ -35,7 +35,7 @@ from .model import (
     score_batch,
     stack_inputs,
 )
-from .tokenizer import Vocabulary, build_vocab
+from .tokenizer import Vocabulary, VocabularyError, build_vocab
 from .training import TrainConfig, TrainingDiverged, train, write_loss_log
 
 CONFIG_DIR_ENV = "REPLYRANK_CONFIG_DIR"
@@ -105,6 +105,13 @@ def _load_config(name: str | None) -> dict:
     return config
 
 
+def _config_section(config: dict, name: str) -> dict:
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise UsageError("config section %r must be a JSON object" % name)
+    return section
+
+
 def _pool_instances(pool: CandidatePool, num_roles: int, disentangle: bool, cap: int) -> list[MatchingInstance]:
     """One instance per candidate: its speaker's filtered thread, else the raw context tail."""
     instances = []
@@ -123,9 +130,11 @@ def _pool_instances(pool: CandidatePool, num_roles: int, disentangle: bool, cap:
 
 def _load_instances(path: str, fmt: str, num_roles: int, disentangle: bool, cap: int) -> list[MatchingInstance]:
     loaded = load_channel(path, fmt)
+    if not loaded:
+        raise CorpusError("%s holds no examples" % path)
     if fmt == "tsv":
         return [instance_from_example(replace(ex, context=ex.context[-cap:]), num_roles) for ex in loaded]
-    if loaded and isinstance(loaded[0], CandidatePool):
+    if isinstance(loaded[0], CandidatePool):
         instances = []
         for pool in loaded:
             instances.extend(_pool_instances(pool, num_roles, disentangle, cap))
@@ -225,18 +234,19 @@ def cmd_disentangle(args) -> int:
 
 def _prepare_training(args, phase: str):
     config = _load_config(args.config)
+    train_section, phase_section, model_section = (
+        _config_section(config, name) for name in ("train", phase, "model")
+    )
     vocab = Vocabulary.load(args.vocab)
-    seed = args.seed if args.seed is not None else config.get("train", {}).get("seed", 0)
+    seed = args.seed if args.seed is not None else train_section.get("seed", 0)
 
     # phase-specific section (e.g. "adapt": {"max_epochs": ...}) overrides "train"
-    train_kwargs = dict(config.get("train", {}))
-    train_kwargs.update(config.get(phase, {}))
-    train_kwargs["seed"] = seed
+    train_kwargs = {**train_section, **phase_section, "seed": seed}
     if args.no_speaker_embeddings:
         train_kwargs["freeze_speaker_table"] = True
     try:
         train_config = TrainConfig(**train_kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError("bad train config: %s" % exc) from exc
 
     checkpoint_in = getattr(args, "checkpoint_in", None)
@@ -250,12 +260,10 @@ def _prepare_training(args, phase: str):
                 % (model_config.vocab_size, len(vocab))
             )
     else:
-        model_kwargs = dict(config.get("model", {}))
-        model_kwargs["vocab_size"] = len(vocab)
-        model_kwargs.setdefault("seed", seed)
+        model_kwargs = {"seed": seed, **model_section, "vocab_size": len(vocab)}
         try:
             model_config = ModelConfig(**model_kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise UsageError("bad model config: %s" % exc) from exc
         params = init_params(model_config, np.random.default_rng(seed))
     return vocab, model_config, train_config, params, seed
@@ -268,6 +276,8 @@ def _run_phase(args, phase: str) -> int:
         args.data, args.format, model_config.num_speaker_roles,
         disentangle=not args.no_disentangle, cap=args.cap,
     )
+    if phase == "adapt" and sum(inst.label == 1 for inst in instances) < 2:
+        raise CorpusError("%s has fewer than 2 label-1 examples to adapt on" % args.data)
     validation = None
     if args.validation:
         if phase == "finetune":
@@ -278,6 +288,8 @@ def _run_phase(args, phase: str) -> int:
             sizes = sorted({len(pool) for pool in validation})
             if len(sizes) > 1:
                 raise CorpusError("validation pools in %s have mixed candidate counts %s" % (args.validation, sizes))
+            if not any(inst.label == 1 for pool in validation for inst in pool):
+                raise CorpusError("validation pools in %s hold no positive candidate" % args.validation)
         else:
             validation = [
                 inst
@@ -287,6 +299,8 @@ def _run_phase(args, phase: str) -> int:
                 )
                 if inst.label == 1
             ]
+            if not validation:
+                raise CorpusError("validation data in %s has no label-1 examples" % args.validation)
     result = train(phase, instances, params, model_config, train_config, vocab, validation=validation)
     save_checkpoint(args.checkpoint_out, model_config, result.params)
     if args.loss_log:
@@ -477,7 +491,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusError, CheckpointError, OSError, json.JSONDecodeError) as exc:
+    except (CorpusError, CheckpointError, VocabularyError, OSError, json.JSONDecodeError) as exc:
         print("data error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

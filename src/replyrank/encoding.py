@@ -1,11 +1,12 @@
-"""Assembly of model inputs: token/segment/position/speaker tracks.
+"""Assembly of model inputs: token, segment and speaker tracks.
 
 Layout is ``[CLS] <context with [EOU]/[EOT] markers> [SEP] <response> [SEP]``
 within a length budget.  Each context utterance ends with [EOU]; the last
 utterance of a turn (a maximal run of consecutive same-speaker utterances)
 additionally gets [EOT].  Speaker-role ids annotate every content token,
-with 0 reserved for [CLS], [SEP] and padding.  Encodings hold only real
-positions; ``model.stack_inputs`` pads a batch to its longest member.
+with 0 reserved for [CLS], [SEP] and padding.  An encoding is three tracks
+of real positions only: the position of a token is its index, and padding
+and the attention mask exist only in the batch ``model.stack_inputs`` builds.
 """
 
 from __future__ import annotations
@@ -22,16 +23,23 @@ RESPONSE_FLOOR = 8  # response tail-truncation never goes below this many tokens
 
 @dataclass(frozen=True)
 class EncodedInput:
-    """Five equal-length id tracks for one context-response pair, unpadded."""
+    """Three equal-length id tracks for one context-response pair.
+
+    Every position is real, so the position of a token is its index; there
+    is no position or mask track.
+    """
 
     token_ids: tuple[int, ...]
     segment_ids: tuple[int, ...]
-    position_ids: tuple[int, ...]
     speaker_ids: tuple[int, ...]
-    attention_mask: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.token_ids)
+
+    @property
+    def attention_mask(self) -> tuple[int, ...]:
+        """All ones: kept only for the benchmark's token counter."""
+        return (1,) * len(self.token_ids)
 
 
 @dataclass(frozen=True)
@@ -140,10 +148,9 @@ def build_input(
     vocab: Vocabulary,
     max_len: int,
 ) -> EncodedInput:
-    """Assemble the five-track input for one context-response pair.
+    """Assemble the three-track input for one context-response pair.
 
-    The result holds at most ``max_len`` positions, all of them real: the
-    attention mask is all ones and position ids run ``0..len-1``.
+    The result holds at most ``max_len`` positions, all of them real.
     """
     if not context:
         raise ValueError("context must contain at least one utterance")
@@ -164,9 +171,7 @@ def build_input(
     return EncodedInput(
         token_ids=tuple(tokens),
         segment_ids=tuple(segments),
-        position_ids=tuple(range(len(tokens))),
         speaker_ids=tuple(speakers),
-        attention_mask=(1,) * len(tokens),
     )
 
 
@@ -175,17 +180,20 @@ def encode_instance(instance: MatchingInstance, vocab: Vocabulary, max_len: int)
 
 
 def format_tracks(enc: EncodedInput, vocab: Vocabulary) -> str:
-    """Render the id tracks as aligned columns for inspection."""
+    """Render the id tracks as aligned columns for inspection.
+
+    Positions are row indices and every position is real, so ``mask`` is 1.
+    """
     rows = [("pos", "token", "id", "seg", "spk", "mask")]
     for i, token_id in enumerate(enc.token_ids):
         rows.append(
             (
-                str(enc.position_ids[i]),
+                str(i),
                 vocab.id_to_token[token_id],
                 str(token_id),
                 str(enc.segment_ids[i]),
                 str(enc.speaker_ids[i]),
-                str(enc.attention_mask[i]),
+                "1",
             )
         )
     widths = [max(len(row[col]) for row in rows) for col in range(6)]

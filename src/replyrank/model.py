@@ -1,4 +1,4 @@
-"""A small transformer encoder over four summed embedding tracks, in numpy.
+"""A small numpy transformer encoder over token, segment, position and speaker embeddings.
 
 The encoder follows the original post-layernorm convention (residual, then
 layernorm, GELU feed-forward) and carries three output heads: vocabulary
@@ -50,7 +50,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        sizes = (self.vocab_size, self.hidden_dim, self.num_layers, self.num_heads, self.ffn_dim)
+        sizes = (
+            self.vocab_size, self.hidden_dim, self.num_layers, self.num_heads, self.ffn_dim,
+            self.max_seq_len, self.num_speaker_roles,
+        )
         if not all(isinstance(n, int) and n >= 1 for n in sizes):
             raise ValueError("vocab_size and the model dimensions must be positive integers")
         if self.hidden_dim % self.num_heads != 0:
@@ -134,40 +137,43 @@ def validate_params(config: ModelConfig, params: dict[str, np.ndarray]) -> None:
 
 @dataclass(frozen=True)
 class Batch:
+    """(B, width) id tracks plus the mask of real positions; column j is position j."""
+
     token_ids: np.ndarray
     segment_ids: np.ndarray
-    position_ids: np.ndarray
     speaker_ids: np.ndarray
     attention_mask: np.ndarray
 
 
-_TRACKS = ("token_ids", "segment_ids", "position_ids", "speaker_ids", "attention_mask")
+_TRACKS = ("token_ids", "segment_ids", "speaker_ids")
 
 
 def stack_inputs(inputs: Sequence[EncodedInput]) -> Batch:
     """Stack inputs into one batch as wide as its longest member.
 
-    This is where padding happens: slots past an input's end get token PAD,
-    segment 0, speaker 0 and mask 0, while position ids stay absolute
-    (``0..width-1`` along every row).
+    This is the one place padding and the attention mask exist: slots past
+    an input's end get token PAD, segment 0, speaker 0 and mask 0.
     """
     if not inputs:
         raise ValueError("cannot stack an empty list of inputs")
-    width = max(len(enc) for enc in inputs)
+    lengths = np.array([len(enc) for enc in inputs])
+    width = int(lengths.max())
     tracks = {name: np.zeros((len(inputs), width), dtype=np.int64) for name in _TRACKS}
     tracks["token_ids"][:] = PAD
-    tracks["position_ids"][:] = np.arange(width)
     for row, enc in enumerate(inputs):
         for name, array in tracks.items():
             array[row, : len(enc)] = getattr(enc, name)
-    return Batch(**tracks)
+    mask = (np.arange(width) < lengths[:, None]).astype(np.int64)
+    return Batch(**tracks, attention_mask=mask)
 
 
 def _check_ids(batch: Batch, config: ModelConfig) -> None:
+    width = batch.token_ids.shape[1]
+    if width > config.max_seq_len:
+        raise ValueError("batch width %d exceeds max_seq_len %d" % (width, config.max_seq_len))
     tracks = (
         ("token_ids", batch.token_ids, config.vocab_size),
         ("segment_ids", batch.segment_ids, 2),
-        ("position_ids", batch.position_ids, config.max_seq_len),
         ("speaker_ids", batch.speaker_ids, config.num_speaker_roles),
     )
     for name, ids, limit in tracks:
@@ -220,10 +226,11 @@ class ForwardTrace:
 
 def embed_batch(batch: Batch, params: dict[str, np.ndarray], config: ModelConfig) -> np.ndarray:
     _check_ids(batch, config)
+    width = batch.token_ids.shape[1]
     return (
         params["token_table"][batch.token_ids]
         + params["segment_table"][batch.segment_ids]
-        + params["position_table"][batch.position_ids]
+        + params["position_table"][:width]
         + params["speaker_table"][batch.speaker_ids]
     )
 
@@ -286,7 +293,9 @@ def forward_batch(
     as (M, vocab) in the order of the pairs, and as (0, vocab) when none are
     requested, so no (B, L, vocab) array is ever built.
 
-    The batch is as wide as ``stack_inputs`` made it.  Padded key positions
+    The batch is as wide as ``stack_inputs`` made it, at most
+    ``max_seq_len``; column j takes position embedding j, and the batch's
+    attention mask is the only record of padding.  Padded key positions
     receive -inf attention scores, so no activation at an unmasked position
     depends on padding content or on how many padding columns there are.
     Dropout (when enabled) applies to the two sublayer outputs before their
@@ -450,7 +459,7 @@ def backward(
     flat_dx = dx.reshape(-1, h)
     np.add.at(grads["token_table"], batch.token_ids.ravel(), flat_dx)
     np.add.at(grads["segment_table"], batch.segment_ids.ravel(), flat_dx)
-    np.add.at(grads["position_table"], batch.position_ids.ravel(), flat_dx)
+    grads["position_table"][: dx.shape[1]] += dx.sum(axis=0)
     np.add.at(grads["speaker_table"], batch.speaker_ids.ravel(), flat_dx)
     return grads
 

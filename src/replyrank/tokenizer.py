@@ -23,6 +23,10 @@ _SPECIAL_RE = re.compile("|".join(re.escape(tok) for tok in SPECIAL_TOKENS), re.
 _WORD_RE = re.compile(r"\w+|[^\w\s]")
 
 
+class VocabularyError(ValueError):
+    """A vocabulary file that is not a valid replyrank vocabulary."""
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     token_to_id: dict[str, int]
@@ -43,15 +47,17 @@ class Vocabulary:
     def load(cls, path: str | Path) -> "Vocabulary":
         tokens = Path(path).read_text(encoding="utf-8").splitlines()
         if tuple(tokens[:NUM_SPECIALS]) != SPECIAL_TOKENS:
-            raise ValueError("vocabulary file %s does not start with the %d special tokens" % (path, NUM_SPECIALS))
-        return _from_tokens(tokens)
+            raise VocabularyError(
+                "vocabulary file %s does not start with the %d special tokens" % (path, NUM_SPECIALS)
+            )
+        vocab = _from_tokens(tokens)
+        if len(vocab.token_to_id) != len(tokens):
+            raise VocabularyError("vocabulary file %s lists a token more than once" % path)
+        return vocab
 
 
 def _from_tokens(tokens: list[str]) -> Vocabulary:
-    token_to_id = {tok: i for i, tok in enumerate(tokens)}
-    if len(token_to_id) != len(tokens):
-        raise ValueError("vocabulary contains duplicate tokens")
-    return Vocabulary(token_to_id=token_to_id, id_to_token=tuple(tokens))
+    return Vocabulary(token_to_id={tok: i for i, tok in enumerate(tokens)}, id_to_token=tuple(tokens))
 
 
 def _split(text: str) -> list[str | None]:

@@ -64,6 +64,10 @@ class TrainConfig:
     freeze_speaker_table: bool = False
 
     def __post_init__(self) -> None:
+        if not all(isinstance(n, int) for n in (self.batch_size, self.max_epochs, self.seed)):
+            raise ValueError("batch_size, max_epochs and seed must be integers")
+        if not all(isinstance(x, (int, float)) for x in (self.weight_decay, self.mlm_weight, self.nsp_weight)):
+            raise ValueError("weight_decay, mlm_weight and nsp_weight must be numbers")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 < self.mask_fraction < 1.0:

@@ -6,8 +6,8 @@ import numpy as np
 
 from replyrank.corpus import Utterance
 from replyrank.encoding import EncodedInput, MatchingInstance, build_input
-from replyrank.model import ModelConfig, backward, forward_batch, stack_inputs
-from replyrank.tokenizer import NUM_SPECIALS, Vocabulary, build_vocab
+from replyrank.model import Batch, ModelConfig, backward, forward_batch, stack_inputs
+from replyrank.tokenizer import NUM_SPECIALS, PAD, Vocabulary, build_vocab
 
 
 def detokenize(ids, vocab: Vocabulary) -> str:
@@ -61,6 +61,17 @@ def random_encoded(rng: np.random.Generator, vocab=VOCAB, max_len=32, num_roles=
     response_text = " ".join(WORDS[int(rng.integers(len(WORDS)))] for _ in range(int(rng.integers(1, 6))))
     response = Utterance(index=n_utts, spoken_from="s1", spoken_to=None, text=response_text)
     return build_input(context, response, int(rng.integers(1, num_roles)), vocab, max_len)
+
+
+def widen(batch: Batch, width: int) -> Batch:
+    """``batch`` with padding columns appended up to ``width``, laid out as ``stack_inputs`` pads."""
+    extra = ((0, 0), (0, width - batch.token_ids.shape[1]))
+    return Batch(
+        token_ids=np.pad(batch.token_ids, extra, constant_values=PAD),
+        segment_ids=np.pad(batch.segment_ids, extra),
+        speaker_ids=np.pad(batch.speaker_ids, extra),
+        attention_mask=np.pad(batch.attention_mask, extra),
+    )
 
 
 def tiny_model_config(vocab_size, **overrides) -> ModelConfig:
@@ -206,7 +217,11 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, floor=1e-6) ->
 
 
 def gradcheck_setup(config, rng, batch_size=2):
-    """A random batch plus head targets covering all three heads."""
+    """A random batch plus head targets covering all three heads.
+
+    Every row is shorter than ``max_seq_len`` and the batch is widened to it,
+    so each row has padded key columns.
+    """
     from replyrank.tokenizer import CLS, SEP
 
     vocab_size = config.vocab_size
@@ -217,20 +232,10 @@ def gradcheck_setup(config, rng, batch_size=2):
         tokens = [CLS] + [int(rng.integers(NUM_SPECIALS, vocab_size)) for _ in range(content)] + [SEP]
         split = 1 + int(rng.integers(1, content))
         tokens.insert(split, SEP)
-        pad = length - len(tokens)
-        segs = [0] * (split + 1) + [1] * (len(tokens) - split - 1) + [0] * pad
-        spk = [0] + [int(rng.integers(0, config.num_speaker_roles)) for _ in range(len(tokens) - 2)] + [0] + [0] * pad
-        mask = [1] * len(tokens) + [0] * pad
-        encs.append(
-            EncodedInput(
-                token_ids=tuple(tokens + [0] * pad),
-                segment_ids=tuple(segs),
-                position_ids=tuple(range(length)),
-                speaker_ids=tuple(spk),
-                attention_mask=tuple(mask),
-            )
-        )
-    batch = stack_inputs(encs)
+        segs = [0] * (split + 1) + [1] * (len(tokens) - split - 1)
+        spk = [0] + [int(rng.integers(0, config.num_speaker_roles)) for _ in range(len(tokens) - 2)] + [0]
+        encs.append(EncodedInput(token_ids=tuple(tokens), segment_ids=tuple(segs), speaker_ids=tuple(spk)))
+    batch = widen(stack_inputs(encs), length)
     rows_b, rows_i = [], []
     for b, enc in enumerate(encs):
         live = [i for i, t in enumerate(enc.token_ids) if t >= NUM_SPECIALS]

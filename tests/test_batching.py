@@ -1,33 +1,23 @@
 """Padding happens only in ``stack_inputs``; it must never change a result."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from replyrank import cli
+from replyrank import cli, training
 from replyrank.encoding import EncodedInput, encode_instance
-from replyrank.model import init_params, score_batch, stack_inputs
+from replyrank.model import Batch, init_params, score_batch, stack_inputs
 from replyrank.tokenizer import CLS, PAD, SEP
 from replyrank.training import TrainConfig, _adaptation_batch, _finetune_batch, apply_masking, plan_masking
-from helpers import VOCAB, random_encoded, tiny_model_config, topic_pools, topic_vocab
+from helpers import VOCAB, random_encoded, tiny_model_config, topic_pools, topic_vocab, widen
 
 TOLERANCE = 1e-12
 MAX_LEN = 32  # longest input random_encoded builds
 MAX_EXTRA = 8
 CONFIG = tiny_model_config(vocab_size=len(VOCAB), max_seq_len=MAX_LEN + MAX_EXTRA)
-
-
-def with_trailing_padding(enc: EncodedInput, extra: int) -> EncodedInput:
-    """``enc`` plus ``extra`` padding positions, laid out as ``stack_inputs`` pads."""
-    return EncodedInput(
-        token_ids=enc.token_ids + (PAD,) * extra,
-        segment_ids=enc.segment_ids + (0,) * extra,
-        position_ids=tuple(range(len(enc) + extra)),
-        speaker_ids=enc.speaker_ids + (0,) * extra,
-        attention_mask=enc.attention_mask + (0,) * extra,
-    )
 
 
 def assert_close(a, b):
@@ -41,14 +31,14 @@ def mixed_inputs(seed: int, size: int) -> list[EncodedInput]:
 
 class TestStackInputs:
     def test_pads_to_longest_member(self):
-        short = EncodedInput((CLS, 9, SEP), (0, 0, 0), (0, 1, 2), (0, 1, 0), (1, 1, 1))
-        long = EncodedInput((CLS, 7, SEP, 8, SEP), (0, 0, 0, 1, 1), (0, 1, 2, 3, 4), (0, 1, 0, 2, 0), (1,) * 5)
+        short = EncodedInput((CLS, 9, SEP), (0, 0, 0), (0, 1, 0))
+        long = EncodedInput((CLS, 7, SEP, 8, SEP), (0, 0, 0, 1, 1), (0, 1, 0, 2, 0))
         batch = stack_inputs([short, long])
+        assert [f.name for f in fields(Batch)] == ["token_ids", "segment_ids", "speaker_ids", "attention_mask"]
         assert batch.token_ids.tolist() == [[CLS, 9, SEP, PAD, PAD], [CLS, 7, SEP, 8, SEP]]
         assert batch.segment_ids.tolist() == [[0, 0, 0, 0, 0], [0, 0, 0, 1, 1]]
         assert batch.speaker_ids.tolist() == [[0, 1, 0, 0, 0], [0, 1, 0, 2, 0]]
         assert batch.attention_mask.tolist() == [[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]]
-        assert batch.position_ids.tolist() == [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4]]
         assert batch.token_ids.dtype == np.int64
 
     def test_width_is_longest_real_length(self, rng):
@@ -63,30 +53,34 @@ class TestPaddingInvariance:
         rng = np.random.default_rng(seed)
         params = init_params(CONFIG, rng)
         inputs = mixed_inputs(seed, size)
-        padded = [with_trailing_padding(enc, extra) for enc in inputs]
-        assert stack_inputs(padded).token_ids.shape[1] == stack_inputs(inputs).token_ids.shape[1] + extra
 
+        def stack_wide(encoded):
+            stacked = stack_inputs(encoded)
+            return widen(stacked, stacked.token_ids.shape[1] + extra)
+
+        assert stack_wide(inputs).token_ids.shape[1] == max(len(enc) for enc in inputs) + extra
         assert_close(score_batch(stack_inputs(inputs), params, CONFIG),
-                     score_batch(stack_inputs(padded), params, CONFIG))
+                     score_batch(stack_wide(inputs), params, CONFIG))
 
         labels = rng.integers(0, 2, size=size).astype(float)
-        loss, grads = _finetune_batch(inputs, labels, params, CONFIG)
-        padded_loss, padded_grads = _finetune_batch(padded, labels, params, CONFIG)
-        assert_close(loss, padded_loss)
-        for name in grads:
-            assert_close(grads[name], padded_grads[name])
-
         train_config = TrainConfig()
         plans = [plan_masking(enc, VOCAB, train_config.mask_fraction, rng) for enc in inputs]
         masked = [apply_masking(enc, plan) for enc, plan in zip(inputs, plans)]
         nsp_labels = rng.integers(0, 2, size=size)
-        loss, grads = _adaptation_batch(masked, plans, nsp_labels, params, CONFIG, train_config)
-        padded_loss, padded_grads = _adaptation_batch(
-            [with_trailing_padding(enc, extra) for enc in masked], plans, nsp_labels, params, CONFIG, train_config
-        )
+        loss, grads = _finetune_batch(inputs, labels, params, CONFIG)
+        adapt_loss, adapt_grads = _adaptation_batch(masked, plans, nsp_labels, params, CONFIG, train_config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(training, "stack_inputs", stack_wide)
+            padded_loss, padded_grads = _finetune_batch(inputs, labels, params, CONFIG)
+            padded_adapt_loss, padded_adapt_grads = _adaptation_batch(
+                masked, plans, nsp_labels, params, CONFIG, train_config
+            )
         assert_close(loss, padded_loss)
         for name in grads:
             assert_close(grads[name], padded_grads[name])
+        assert_close(adapt_loss, padded_adapt_loss)
+        for name in adapt_grads:
+            assert_close(adapt_grads[name], padded_adapt_grads[name])
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 6))

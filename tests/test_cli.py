@@ -271,6 +271,78 @@ class TestTrainingCommands:
         )
         assert not out.exists()  # rejected before any training step
 
+    def _rejected_before_training(self, workdir, capsys, phase, data, *flags):
+        """Run ``phase`` on ``data``; return its exit code and stderr, checking no checkpoint was written."""
+        vocab = self._vocab(workdir)
+        out = workdir / "model.npz"
+        capsys.readouterr()
+        code = run(phase, "--data", data, "--vocab", vocab, "--config", workdir / "config.json",
+                   "--checkpoint-out", out, *flags)
+        assert not out.exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"train": [1]},
+            {"train": 5},
+            {"adapt": [1]},
+            {"model": [1]},
+            {"train": {"batch_size": 2.5}},
+            {"train": {"max_epochs": 1.5}},
+            {"train": {"seed": "x"}},
+            {"model": {"max_seq_len": 128.5}},
+            {"model": {"num_speaker_roles": 3.0}},
+            {"train": {"weight_decay": "x"}},
+            {"adapt": {"mlm_weight": "x"}},
+        ],
+        ids=["train-list", "train-int", "adapt-list", "model-list", "batch-size", "max-epochs", "seed",
+             "max-seq-len", "speaker-roles", "weight-decay", "mlm-weight"],
+    )
+    def test_malformed_config_is_usage_error(self, workdir, capsys, config):
+        (workdir / "config.json").write_text(json.dumps(config))
+        code, err = self._rejected_before_training(workdir, capsys, "adapt", workdir / "train.tsv")
+        assert code == 1
+        assert err.startswith("usage error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_adapt_validation_without_positives_is_data_error(self, workdir, capsys):
+        negatives = workdir / "negatives.tsv"
+        lines = (workdir / "train.tsv").read_text().splitlines(True)
+        negatives.write_text("".join(line for line in lines if line.startswith("0\t")))
+        code, err = self._rejected_before_training(
+            workdir, capsys, "adapt", workdir / "train.tsv", "--validation", negatives
+        )
+        assert code == 2
+        assert err == "data error: validation data in %s has no label-1 examples\n" % negatives
+
+    def test_finetune_validation_without_positives_is_data_error(self, workdir, capsys):
+        negatives = workdir / "negative_pools.jsonl"
+        negatives.write_text((workdir / "pools.jsonl").read_text().replace('"label": 1', '"label": 0'))
+        code, err = self._rejected_before_training(
+            workdir, capsys, "finetune", workdir / "train.tsv", "--validation", negatives
+        )
+        assert code == 2
+        assert err == "data error: validation pools in %s hold no positive candidate\n" % negatives
+
+    @pytest.mark.parametrize("phase", ["adapt", "finetune"])
+    def test_empty_data_file_is_data_error(self, workdir, capsys, phase):
+        empty = workdir / "empty.tsv"
+        empty.write_text("")
+        code, err = self._rejected_before_training(workdir, capsys, phase, empty)
+        assert code == 2
+        assert err == "data error: %s holds no examples\n" % empty
+
+    def test_adapt_with_one_positive_is_data_error(self, workdir, capsys):
+        data = workdir / "one_positive.tsv"
+        lines = (workdir / "train.tsv").read_text().splitlines(True)
+        data.write_text("".join([line for line in lines if line.startswith("1\t")][:1]
+                                + [line for line in lines if line.startswith("0\t")]))
+        code, err = self._rejected_before_training(workdir, capsys, "adapt", data)
+        assert code == 2
+        assert err == "data error: %s has fewer than 2 label-1 examples to adapt on\n" % data
+
     def test_config_dir_env_resolution(self, workdir, monkeypatch):
         configs = workdir / "cfgdir"
         configs.mkdir()
@@ -437,6 +509,25 @@ class TestEvaluate:
         assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab) == 2
         err = capsys.readouterr().err
         assert err == "data error: checkpoint %s is not a valid .npz\n" % ckpt
+
+
+class TestVocabularyFile:
+    @pytest.mark.parametrize(
+        "content, message",
+        [("foo\nbar\n", "does not start with the 7 special tokens"),
+         ("\n".join(SPECIAL_TOKENS) + "\nx\ny\nx\n", "lists a token more than once")],
+        ids=["no-specials", "repeated-token"],
+    )
+    @pytest.mark.parametrize("command", ["evaluate", "encode"])
+    def test_malformed_vocabulary_is_data_error(self, workdir, capsys, command, content, message):
+        vocab = workdir / "bad_vocab.txt"
+        vocab.write_text(content)
+        argv = {
+            "evaluate": ["--pools", workdir / "pools.jsonl", "--checkpoint", workdir / "m.npz"],
+            "encode": ["--data", workdir / "train.tsv"],
+        }[command]
+        assert run(command, *argv, "--vocab", vocab) == 2
+        assert capsys.readouterr().err == "data error: vocabulary file %s %s\n" % (vocab, message)
 
 
 class TestEncode:

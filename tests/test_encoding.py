@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from replyrank.encoding import (
@@ -91,8 +93,7 @@ class TestBuildInput:
         assert enc.token_ids == (CLS, hi, EOU, EOT, SEP, hello, SEP)
         assert enc.speaker_ids == (0, 1, 1, 1, 0, 2, 0)
         assert enc.segment_ids == (0, 0, 0, 0, 0, 1, 1)
-        assert enc.attention_mask == (1, 1, 1, 1, 1, 1, 1)
-        assert enc.position_ids == tuple(range(7))
+        assert [f.name for f in fields(enc)] == ["token_ids", "segment_ids", "speaker_ids"]
 
     def test_empty_context_rejected(self):
         vocab = build_vocab(["x"], 1, 100)
@@ -132,16 +133,12 @@ class TestBuildInput:
         for _ in range(100):
             enc = random_encoded(rng)
             L = len(enc)
-            assert (
-                len(enc.token_ids) == len(enc.segment_ids) == len(enc.position_ids)
-                == len(enc.speaker_ids) == len(enc.attention_mask) == L
-            )
+            assert len(enc.token_ids) == len(enc.segment_ids) == len(enc.speaker_ids) == L
             assert enc.token_ids[0] == CLS
-            non_pad = [i for i, t in enumerate(enc.token_ids) if enc.attention_mask[i] == 1]
-            assert enc.token_ids[non_pad[-1]] == SEP
+            assert enc.token_ids[-1] == SEP
+            assert PAD not in enc.token_ids
             for i in range(L):
-                assert (enc.attention_mask[i] == 0) == (enc.token_ids[i] == PAD)
-                if enc.token_ids[i] in (CLS, SEP, PAD):
+                if enc.token_ids[i] in (CLS, SEP):
                     assert enc.speaker_ids[i] == 0
                 else:
                     assert enc.speaker_ids[i] != 0
@@ -201,3 +198,5 @@ class TestFormatTracks:
         # [CLS] w01 [EOU] [EOT] [SEP] w02 [SEP]: one line per real position
         assert len(lines) == 8
         assert "[CLS]" in lines[1]
+        assert [line.split()[0] for line in lines[1:]] == [str(i) for i in range(7)]
+        assert all(line.split()[-1] == "1" for line in lines[1:])

@@ -115,9 +115,7 @@ def full_length_input(rng, length, vocab_size):
     return EncodedInput(
         token_ids=tuple(tokens),
         segment_ids=tuple([0] * (half + 1) + [1] * (length - half - 1)),
-        position_ids=tuple(range(length)),
         speaker_ids=tuple(int(s) for s in rng.integers(0, 3, size=length)),
-        attention_mask=(1,) * length,
     )
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from replyrank.model import (
     stack_inputs,
     validate_params,
 )
-from replyrank.tokenizer import CLS, PAD, SEP
+from replyrank.tokenizer import CLS, SEP
 from helpers import (
     combined_loss,
     combined_loss_grads,
@@ -24,6 +26,7 @@ from helpers import (
     max_relative_error,
     random_encoded,
     tiny_model_config,
+    widen,
 )
 
 
@@ -43,18 +46,11 @@ def score(enc, params, config):
     return float(score_batch(stack_inputs([enc]), params, config)[0])
 
 
-def simple_input(length=12, content=(7, 8, 9, 10), speakers=(1, 1, 2, 2)):
+def simple_input(content=(7, 8, 9, 10), speakers=(1, 1, 2, 2)):
     tokens = [CLS, *content[:2], SEP, *content[2:], SEP]
     spk = [0, *speakers[:2], 0, *speakers[2:], 0]
-    seg = [0, 0, 0, 0, 1, 1, 1]
-    pad = length - len(tokens)
-    return EncodedInput(
-        token_ids=tuple(tokens + [PAD] * pad),
-        segment_ids=tuple(seg + [0] * pad),
-        position_ids=tuple(range(length)),
-        speaker_ids=tuple(spk + [0] * pad),
-        attention_mask=tuple([1] * len(tokens) + [0] * pad),
-    )
+    seg = [0, 0, 0, 0] + [1] * (len(content) - 1)
+    return EncodedInput(token_ids=tuple(tokens), segment_ids=tuple(seg), speaker_ids=tuple(spk))
 
 
 class TestEmbed:
@@ -90,11 +86,9 @@ class TestEmbed:
         params["position_table"][1] = [0, 0, 3, 0]
         params["speaker_table"][1] = [0, 0, 0, 4]
         enc = EncodedInput(
-            token_ids=(CLS, 7, SEP, 7, SEP, PAD, PAD, PAD),
-            segment_ids=(0, 0, 0, 1, 1, 0, 0, 0),
-            position_ids=tuple(range(8)),
-            speaker_ids=(0, 1, 0, 1, 0, 0, 0, 0),
-            attention_mask=(1, 1, 1, 1, 1, 0, 0, 0),
+            token_ids=(CLS, 7, SEP, 7, SEP),
+            segment_ids=(0, 0, 0, 1, 1),
+            speaker_ids=(0, 1, 0, 1, 0),
         )
         out = embed(enc, params, config)
         assert np.allclose(out[1], [1, 2, 3, 4])
@@ -103,15 +97,19 @@ class TestEmbed:
         config = tiny_model_config(vocab_size=16, max_seq_len=12)
         params = init_params(config)
         enc = simple_input(content=(7, 8, 9, 15))
-        bad = EncodedInput(
-            token_ids=tuple(99 if t == 15 else t for t in enc.token_ids),
-            segment_ids=enc.segment_ids,
-            position_ids=enc.position_ids,
-            speaker_ids=enc.speaker_ids,
-            attention_mask=enc.attention_mask,
-        )
+        bad = replace(enc, token_ids=tuple(99 if t == 15 else t for t in enc.token_ids))
         with pytest.raises(ValueError, match="token_ids"):
             embed(bad, params, config)
+
+    def test_batch_wider_than_max_seq_len_rejected(self):
+        config = tiny_model_config(vocab_size=16, max_seq_len=8)
+        params = init_params(config)
+        enc = simple_input()  # 7 positions
+        embed(enc, params, config)
+        with pytest.raises(ValueError, match="batch width 9 exceeds max_seq_len 8"):
+            forward_batch(widen(stack_inputs([enc]), 9), params, config)
+        with pytest.raises(ValueError, match="batch width 9 exceeds max_seq_len 8"):
+            embed(simple_input(content=(7, 8, 9, 10, 11, 12), speakers=(1, 1, 2, 2, 2, 2)), params, config)
 
 
 class TestForward:
@@ -119,7 +117,7 @@ class TestForward:
         config = tiny_model_config(vocab_size=16, max_seq_len=12)
         params = init_params(config)
         enc = simple_input()
-        live = [i for i, m in enumerate(enc.attention_mask) if m == 1]
+        live = list(range(len(enc)))
         a = forward(enc, params, config, live)
         b = forward(enc, params, config, live)
         assert a[1].shape == (len(live), config.vocab_size)
@@ -130,22 +128,14 @@ class TestForward:
     def test_padding_invariance_bitwise(self, rng):
         config = tiny_model_config(vocab_size=16, max_seq_len=16)
         params = init_params(config)
-        enc = simple_input(length=16)
-        live = [i for i, m in enumerate(enc.attention_mask) if m == 1]
-        tampered_tokens = list(enc.token_ids)
-        for i in range(len(enc.token_ids)):
-            if enc.attention_mask[i] == 0:
-                tampered_tokens[i] = int(rng.integers(0, config.vocab_size))
-        tampered = EncodedInput(
-            token_ids=tuple(tampered_tokens),
-            segment_ids=enc.segment_ids,
-            position_ids=enc.position_ids,
-            speaker_ids=enc.speaker_ids,
-            attention_mask=enc.attention_mask,
-        )
-        m1, mlm1, nsp1, _ = forward(enc, params, config, live)
-        m2, mlm2, nsp2, _ = forward(tampered, params, config, live)
-        assert m1 == m2
+        batch = widen(stack_inputs([simple_input()]), 16)
+        pad_slots = batch.attention_mask == 0
+        tampered = replace(batch, token_ids=batch.token_ids.copy())
+        tampered.token_ids[pad_slots] = rng.integers(0, config.vocab_size, size=int(pad_slots.sum()))
+        live = np.nonzero(batch.attention_mask)
+        m1, mlm1, nsp1, _ = forward_batch(batch, params, config, mlm_positions=live)
+        m2, mlm2, nsp2, _ = forward_batch(tampered, params, config, mlm_positions=live)
+        assert m1[0] == m2[0]
         assert np.array_equal(nsp1, nsp2)
         assert np.array_equal(mlm1, mlm2)
 

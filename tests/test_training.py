@@ -89,13 +89,7 @@ class TestPlanMasking:
     def test_no_maskable_tokens_rejected(self, rng):
         from replyrank.encoding import EncodedInput
 
-        enc = EncodedInput(
-            token_ids=(CLS, SEP, SEP, PAD),
-            segment_ids=(0, 0, 1, 0),
-            position_ids=(0, 1, 2, 3),
-            speaker_ids=(0, 0, 0, 0),
-            attention_mask=(1, 1, 1, 0),
-        )
+        enc = EncodedInput(token_ids=(CLS, SEP, SEP), segment_ids=(0, 0, 1), speaker_ids=(0, 0, 0))
         with pytest.raises(ValueError):
             plan_masking(enc, VOCAB, 0.15, rng)
 
