@@ -3,7 +3,8 @@
 Subcommands: ``build-vocab``, ``disentangle``, ``adapt``, ``finetune``,
 ``evaluate`` and ``encode``.  Every file-producing run writes a JSON
 manifest next to its primary output recording the command, config snapshot,
-input content hashes and seed, so a run can be replayed bit-for-bit.
+input content hashes, seed and resource use, so a run can be replayed
+bit-for-bit.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric failure.
 """
@@ -11,11 +12,14 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
+import resource
 import sys
-from dataclasses import replace
+import time
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -45,6 +49,19 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+# glibc's mallopt parameters and the values the CLI gives them.  By default
+# glibc hands large freed blocks back to the kernel (munmap above the mmap
+# threshold, heap trimming above the trim threshold), so every batch pays
+# minor page faults to get zeroed pages again.  A fresh `evaluate` on the
+# benchmark's rank-multiparty inputs (seed 7, 800 candidates) took 443,000
+# minor faults, about 1.7 GB of zeroed pages and half its 2.7 s.  With both
+# thresholds at 1 GiB, freed activations stay in the heap for the next batch.
+# Both are set: setting either one turns off glibc's dynamic mmap threshold,
+# and the trim threshold alone doubled the faults.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+KEEP_FREED_BYTES = 1 << 30
+
 
 class UsageError(Exception):
     pass
@@ -63,7 +80,45 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(command: str, args: argparse.Namespace, inputs: list, outputs: list, seed, started: str) -> None:
+def _keep_freed_memory() -> None:
+    """Raise glibc's mmap and trim thresholds so freed heap memory stays in the process.
+
+    Where the C library has no ``mallopt`` (macOS's, for one), nothing changes.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, KEEP_FREED_BYTES)
+    mallopt(M_TRIM_THRESHOLD, KEEP_FREED_BYTES)
+
+
+@dataclass(frozen=True)
+class _Start:
+    """When a command started, and the process's minor page faults up to then."""
+
+    iso: str
+    monotonic: float
+    minor_faults: int
+
+
+def _start() -> _Start:
+    return _Start(_now(), time.monotonic(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+
+def _resources(started: _Start) -> dict:
+    """Wall time and minor faults since ``started``, and the process's lifetime peak RSS."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    rss_unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is bytes on macOS, KiB elsewhere
+    return {
+        "wall_s": time.monotonic() - started.monotonic,
+        "peak_rss_mb": usage.ru_maxrss * rss_unit / 2**20,
+        "minor_faults": usage.ru_minflt - started.minor_faults,
+    }
+
+
+def _write_manifest(command: str, args: argparse.Namespace, inputs: list, outputs: list, seed, started: _Start) -> None:
     outputs = [Path(p) for p in outputs if p]
     if not outputs:
         return
@@ -73,8 +128,9 @@ def _write_manifest(command: str, args: argparse.Namespace, inputs: list, output
         "inputs": {str(p): _sha256(Path(p)) for p in inputs if p},
         "outputs": [str(p) for p in outputs],
         "seed": seed,
-        "started": started,
-        "finished": datetime.now(timezone.utc).isoformat(),
+        "started": started.iso,
+        "finished": _now(),
+        "resources": _resources(started),
     }
     path = Path(str(outputs[0]) + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2, default=str) + "\n", encoding="utf-8")
@@ -194,7 +250,7 @@ def _collect_texts(paths: list[str], fmt: str) -> list[str]:
 
 
 def cmd_build_vocab(args) -> int:
-    started = _now()
+    started = _start()
     if args.max_size < 8:
         raise UsageError("--max-size must be at least 8 (7 specials + content)")
     vocab = build_vocab(_collect_texts(args.input, args.format), args.min_count, args.max_size)
@@ -205,7 +261,7 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_disentangle(args) -> int:
-    started = _now()
+    started = _start()
     loaded = load_channel(args.channel, "jsonl")
     if loaded and isinstance(loaded[0], CandidatePool):
         raise CorpusError("%s contains candidate pools, expected a bare utterance channel" % args.channel)
@@ -270,7 +326,7 @@ def _prepare_training(args, phase: str):
 
 
 def _run_phase(args, phase: str) -> int:
-    started = _now()
+    started = _start()
     vocab, model_config, train_config, params, seed = _prepare_training(args, phase)
     instances = _load_instances(
         args.data, args.format, model_config.num_speaker_roles,
@@ -344,7 +400,7 @@ def _parse_recall_cutoffs(arg: str | None, pools: list[list[MatchingInstance]]) 
 
 
 def cmd_evaluate(args) -> int:
-    started = _now()
+    started = _start()
     vocab = Vocabulary.load(args.vocab)
     model_config, params = load_checkpoint(args.checkpoint)
     if model_config.vocab_size != len(vocab):
@@ -370,7 +426,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    started = _now()
+    started = _start()
     vocab = Vocabulary.load(args.vocab)
     instances = _load_instances(args.data, args.format, args.num_roles, not args.no_disentangle, args.cap)
     if not 0 <= args.row < len(instances):
@@ -484,6 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -56,6 +56,8 @@ class ModelConfig:
         )
         if not all(isinstance(n, int) and n >= 1 for n in sizes):
             raise ValueError("vocab_size and the model dimensions must be positive integers")
+        if not isinstance(self.seed, int):
+            raise ValueError("seed must be an integer")
         if self.hidden_dim % self.num_heads != 0:
             raise ValueError(
                 "hidden_dim %d not divisible by num_heads %d" % (self.hidden_dim, self.num_heads)
@@ -310,18 +312,20 @@ def forward_batch(
         raise NumericError("non-finite values in the embedding sum")
     trace = ForwardTrace(config=config, batch=batch, embeddings=x, mlm_rows=rows, mlm_cols=cols)
 
-    key_mask = batch.attention_mask[:, None, None, :].astype(bool)
+    pad_keys = batch.attention_mask[:, None, None, :] == 0
     scale = 1.0 / np.sqrt(config.hidden_dim // config.num_heads)
     for i in range(config.num_layers):
         prefix = "layer%d." % i
         q = _split_heads(x @ params[prefix + "attn.wq"] + params[prefix + "attn.bq"], config.num_heads)
         k = _split_heads(x @ params[prefix + "attn.wk"] + params[prefix + "attn.bk"], config.num_heads)
         v = _split_heads(x @ params[prefix + "attn.wv"] + params[prefix + "attn.bv"], config.num_heads)
-        scores = (q @ k.swapaxes(-1, -2)) * scale
-        scores = np.where(key_mask, scores, -np.inf)
-        scores -= scores.max(axis=-1, keepdims=True)
-        weights = np.exp(scores)
-        attn = weights / weights.sum(axis=-1, keepdims=True)
+        # softmax in place: every fresh (B, H, L, L) array would be paged in anew
+        attn = q @ k.swapaxes(-1, -2)
+        attn *= scale
+        np.copyto(attn, -np.inf, where=pad_keys)
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
         merged = _merge_heads(attn @ v)
         attn_out = merged @ params[prefix + "attn.wo"] + params[prefix + "attn.bo"]
         attn_out, attn_drop = _dropout(attn_out, config.dropout_rate, rng)
@@ -442,8 +446,10 @@ def backward(
 
         dattn = dctx @ lt.v.swapaxes(-1, -2)
         dv = lt.attn.swapaxes(-1, -2) @ dctx
-        # softmax backward; masked keys carry attn == 0, so their scores get 0
-        dscores = lt.attn * (dattn - (dattn * lt.attn).sum(axis=-1, keepdims=True))
+        # softmax backward, in dattn's buffer; masked keys carry attn == 0, so their scores get 0
+        dscores = dattn
+        dscores -= (dattn * lt.attn).sum(axis=-1, keepdims=True)
+        dscores *= lt.attn
         dq = (dscores @ lt.k) * scale
         dk = (dscores.swapaxes(-1, -2) @ lt.q) * scale
 

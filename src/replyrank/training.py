@@ -267,21 +267,20 @@ def _finetune_batch(
     return float(losses.mean()), grads
 
 
-def _adaptation_forward(
+def _adaptation_losses(
     encoded: list[EncodedInput],
     plans: list[list[MaskedPosition]],
     nsp_labels: np.ndarray,
     params,
     model_config,
-    train_config,
     dropout_rng=None,
 ):
-    """The adaptation objective on one batch: ``(loss, d_mlm, d_nsp, trace)``.
+    """Unweighted adaptation losses on one batch: ``(mlm_losses, nsp_losses, d_mlm, d_nsp, trace)``.
 
-    The loss is the weighted sum of the masked-token cross-entropy, averaged
-    over every masked position in the batch, and the mean pair loss.
-    Vocabulary logits are computed only at the masked positions; ``d_mlm``
-    holds one gradient row per position, in plan order.
+    ``mlm_losses`` holds one cross-entropy per masked position, in plan
+    order, and ``nsp_losses`` one per pair; ``d_mlm`` and ``d_nsp`` are
+    their logit gradients, row by row.  Vocabulary logits are computed only
+    at the masked positions.
     """
     rows = np.repeat(np.arange(len(plans)), [len(plan) for plan in plans])
     cols = np.array([pos.index for plan in plans for pos in plan])
@@ -290,10 +289,39 @@ def _adaptation_forward(
     _, mlm_logits, nsp_logits, trace = forward_batch(batch, params, model_config, dropout_rng, (rows, cols))
     mlm_losses, d_mlm = _softmax_ce_rows(mlm_logits, targets)
     nsp_losses, d_nsp = _softmax_ce_rows(nsp_logits, nsp_labels)
-    total = train_config.mlm_weight * mlm_losses.mean() + train_config.nsp_weight * nsp_losses.mean()
-    d_mlm *= train_config.mlm_weight / len(targets)
-    d_nsp *= train_config.nsp_weight / len(nsp_labels)
-    return float(total), d_mlm, d_nsp, trace
+    return mlm_losses, nsp_losses, d_mlm, d_nsp, trace
+
+
+def _adaptation_objective(mlm_losses: np.ndarray, nsp_losses: np.ndarray, train_config) -> float:
+    """The weighted sum of the mean masked-token loss and the mean pair loss."""
+    return float(train_config.mlm_weight * mlm_losses.mean() + train_config.nsp_weight * nsp_losses.mean())
+
+
+def _adaptation_validation_loss(
+    encoded: list[EncodedInput],
+    plans: list[list[MaskedPosition]],
+    nsp_labels: np.ndarray,
+    params,
+    model_config,
+    train_config,
+) -> float:
+    """The adaptation objective over a fixed validation draw, without dropout.
+
+    The draw is scored in chunks of ``batch_size`` rows, so memory does not
+    grow with the validation set; the per-position and per-pair losses of
+    all chunks make up one masked-token mean and one pair mean.
+    """
+    eval_config = replace(model_config, dropout_rate=0.0)
+    mlm, nsp = [], []
+    for start in range(0, len(encoded), train_config.batch_size):
+        chunk = slice(start, start + train_config.batch_size)
+        # keep only the losses, so one chunk's trace is freed before the next is built
+        mlm_losses, nsp_losses = _adaptation_losses(
+            encoded[chunk], plans[chunk], nsp_labels[chunk], params, eval_config
+        )[:2]
+        mlm.append(mlm_losses)
+        nsp.append(nsp_losses)
+    return _adaptation_objective(np.concatenate(mlm), np.concatenate(nsp), train_config)
 
 
 def _adaptation_batch(
@@ -305,11 +333,14 @@ def _adaptation_batch(
     train_config,
     dropout_rng=None,
 ):
-    loss, d_mlm, d_nsp, trace = _adaptation_forward(
-        encoded, plans, nsp_labels, params, model_config, train_config, dropout_rng
+    """The adaptation objective on one batch and its gradients: ``(loss, grads)``."""
+    mlm_losses, nsp_losses, d_mlm, d_nsp, trace = _adaptation_losses(
+        encoded, plans, nsp_labels, params, model_config, dropout_rng
     )
+    d_mlm *= train_config.mlm_weight / len(mlm_losses)
+    d_nsp *= train_config.nsp_weight / len(nsp_losses)
     grads = backward(trace, params, np.zeros(len(encoded)), d_nsp, d_mlm)
-    return loss, grads
+    return _adaptation_objective(mlm_losses, nsp_losses, train_config), grads
 
 
 def _validation_recall_at_1(pools: Sequence[Sequence[MatchingInstance]], params, model_config, vocab) -> float:
@@ -407,8 +438,7 @@ def train(
 
         if validation is not None:
             if phase == "adapt":
-                eval_config = replace(model_config, dropout_rate=0.0)
-                metric = _adaptation_forward(*val_fixed, params, eval_config, train_config)[0]
+                metric = _adaptation_validation_loss(*val_fixed, params, model_config, train_config)
                 better = best_metric is None or metric < best_metric
             else:
                 metric = _validation_recall_at_1(validation, params, model_config, vocab)

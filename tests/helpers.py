@@ -74,6 +74,16 @@ def widen(batch: Batch, width: int) -> Batch:
     )
 
 
+def reference_attention(q: np.ndarray, k: np.ndarray, attention_mask: np.ndarray, scale: float) -> np.ndarray:
+    """Masked-softmax attention weights, each step in a fresh array: the oracle for the in-place softmax."""
+    key_mask = attention_mask[:, None, None, :].astype(bool)
+    scores = (q @ k.swapaxes(-1, -2)) * scale
+    scores = np.where(key_mask, scores, -np.inf)
+    scores -= scores.max(axis=-1, keepdims=True)
+    weights = np.exp(scores)
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
 def tiny_model_config(vocab_size, **overrides) -> ModelConfig:
     defaults = dict(
         vocab_size=vocab_size, hidden_dim=16, num_layers=2, num_heads=2,

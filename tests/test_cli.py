@@ -1,5 +1,7 @@
+import ctypes
 import io
 import json
+import resource
 from pathlib import Path
 
 import numpy as np
@@ -295,9 +297,10 @@ class TestTrainingCommands:
             {"model": {"num_speaker_roles": 3.0}},
             {"train": {"weight_decay": "x"}},
             {"adapt": {"mlm_weight": "x"}},
+            {"model": {"seed": "x"}},
         ],
         ids=["train-list", "train-int", "adapt-list", "model-list", "batch-size", "max-epochs", "seed",
-             "max-seq-len", "speaker-roles", "weight-decay", "mlm-weight"],
+             "max-seq-len", "speaker-roles", "weight-decay", "mlm-weight", "model-seed"],
     )
     def test_malformed_config_is_usage_error(self, workdir, capsys, config):
         (workdir / "config.json").write_text(json.dumps(config))
@@ -366,6 +369,42 @@ class TestTrainingCommands:
         assert manifest["seed"] == 5
         assert str(workdir / "train.tsv") in manifest["inputs"]
         assert all(len(h) == 64 for h in manifest["inputs"].values())
+
+    def test_manifest_records_resources(self, workdir):
+        vocab = self._vocab(workdir)
+        out = workdir / "a.npz"
+        assert run("adapt", "--data", workdir / "train.tsv", "--vocab", vocab,
+                   "--config", workdir / "config.json", "--checkpoint-out", out,
+                   "--loss-log", workdir / "a.csv", "--seed", "1") == 0
+        resources = json.loads((workdir / "a.npz.manifest.json").read_text())["resources"]
+        assert set(resources) == {"wall_s", "peak_rss_mb", "minor_faults"}
+        assert isinstance(resources["wall_s"], float) and resources["wall_s"] > 0
+        assert isinstance(resources["peak_rss_mb"], float) and resources["peak_rss_mb"] > 0
+        assert isinstance(resources["minor_faults"], int) and resources["minor_faults"] >= 0
+        assert (workdir / "a.csv").read_text().splitlines()[0] == "step,phase,loss,lr"
+
+
+class TestAllocator:
+    @staticmethod
+    def _build_vocab(workdir):
+        return run("build-vocab", "--input", workdir / "train.tsv", "--out", workdir / "vocab.txt")
+
+    @pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None, reason="C library has no mallopt")
+    def test_freed_arrays_fault_nothing_after_first_round(self, workdir):
+        assert self._build_vocab(workdir) == 0
+
+        def round_faults():
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            arrays = [np.ones(1 << 20) for _ in range(12)]  # 12 x 8 MB
+            del arrays
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        round_faults()
+        assert [round_faults() for _ in range(3)] == [0, 0, 0]
+
+    def test_missing_mallopt_is_a_no_op(self, workdir, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert self._build_vocab(workdir) == 0
 
 
 class TestEvaluate:
@@ -482,8 +521,9 @@ class TestEvaluate:
             ({"format": 1}, "metadata has no model config"),
             ({"format": 1, "config": {"vocab_size": 10, "hidden_dim": 10, "num_heads": 3}},
              "hidden_dim 10 not divisible by num_heads 3"),
+            ({"format": 1, "config": {"vocab_size": 10, "seed": "x"}}, "seed must be an integer"),
         ],
-        ids=["unknown-key", "missing-config", "invalid-value"],
+        ids=["unknown-key", "missing-config", "invalid-value", "string-seed"],
     )
     def test_bad_checkpoint_metadata_is_data_error(self, workdir, capsys, meta, message):
         pools = workdir / "good.jsonl"

@@ -25,6 +25,7 @@ from helpers import (
     gradcheck_setup,
     max_relative_error,
     random_encoded,
+    reference_attention,
     tiny_model_config,
     widen,
 )
@@ -150,6 +151,15 @@ class TestForward:
             # masked keys carry exactly zero weight
             key_mask = batch.attention_mask[:, None, None, :]
             assert np.all(attn * (1 - key_mask) == 0.0)
+
+    def test_attention_equals_reference_softmax_bitwise(self, rng):
+        config = tiny_model_config(vocab_size=32, max_seq_len=32)
+        params = init_params(config)
+        batch = widen(stack_inputs([random_encoded(rng, max_len=32) for _ in range(5)]), 32)
+        _, _, _, trace = forward_batch(batch, params, config)
+        scale = 1.0 / np.sqrt(config.hidden_dim // config.num_heads)
+        for attn, layer in zip(trace.attention_weights, trace.layers):
+            assert np.array_equal(attn, reference_attention(layer.q, layer.k, batch.attention_mask, scale))
 
     def test_zero_match_head_gives_zero_logit(self, rng):
         config = tiny_model_config(vocab_size=32, max_seq_len=32)

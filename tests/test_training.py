@@ -1,14 +1,22 @@
+import json
 import math
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from replyrank.encoding import EncodedInput
 from replyrank.model import ModelConfig, init_params
 from replyrank.tokenizer import CLS, EOT, EOU, MASK, NUM_SPECIALS, PAD, SEP
 from replyrank.training import (
     AdamState,
     TrainConfig,
+    _adaptation_batch,
+    _adaptation_validation_loss,
+    _corrupted_pairs,
     adamw_step,
     apply_masking,
     build_nsp_pair,
@@ -351,6 +359,51 @@ class TestTrain:
             for name in a.params:
                 assert np.array_equal(a.params[name], b.params[name]), name
             assert [e.loss for e in a.log] != [e.loss for e in plain.log]
+
+
+class TestAdaptationValidation:
+    def test_chunked_loss_equals_one_batch(self):
+        vocab = topic_vocab()
+        instances = topic_instances(np.random.default_rng(2), 23)
+        config = ModelConfig(vocab_size=len(vocab), hidden_dim=16, num_layers=2, num_heads=2,
+                             ffn_dim=24, max_seq_len=32, num_speaker_roles=3, dropout_rate=0.1)
+        params = init_params(config, np.random.default_rng(4))
+        draw = _corrupted_pairs(instances, [inst.response for inst in instances], vocab, 32, 0.15,
+                                np.random.default_rng(6))
+        tc = TrainConfig(batch_size=5, mlm_weight=0.7, nsp_weight=1.3)
+        whole, _ = _adaptation_batch(*draw, params, replace(config, dropout_rate=0.0), tc)
+        chunked = _adaptation_validation_loss(*draw, params, config, tc)
+        assert abs(chunked - whole) <= 1e-12
+
+    def test_memory_does_not_grow_with_validation_size(self):
+        toy = json.loads((Path(__file__).resolve().parent.parent / "configs" / "toy.json").read_text())
+        config = ModelConfig(vocab_size=len(VOCAB), **toy["model"])
+        tc = TrainConfig(**toy["train"])
+        params = init_params(config, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        content = config.max_seq_len - 2
+        draws = []
+        for count in (50, 200):
+            encoded, plans = [], []
+            for _ in range(count):
+                enc = EncodedInput(
+                    token_ids=(CLS, *(int(t) for t in rng.integers(NUM_SPECIALS, len(VOCAB), content)), SEP),
+                    segment_ids=(0,) * (content // 2 + 1) + (1,) * (content - content // 2 + 1),
+                    speaker_ids=(0, *(int(r) for r in rng.integers(1, 3, content)), 0),
+                )
+                plan = plan_masking(enc, VOCAB, tc.mask_fraction, rng)
+                encoded.append(apply_masking(enc, plan))
+                plans.append(plan)
+            draws.append((encoded, plans, rng.integers(0, 2, count)))
+        peaks = []
+        for draw in draws:
+            tracemalloc.start()
+            try:
+                _adaptation_validation_loss(*draw, params, config, tc)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 class TestTrainConfig:
