@@ -124,7 +124,7 @@ def _write_manifest(command: str, args: argparse.Namespace, inputs: list, output
         return
     manifest = {
         "command": command,
-        "config": {k: v for k, v in sorted(vars(args).items()) if k != "command"},
+        "config": {k: v for k, v in sorted(vars(args).items()) if k not in ("command", "func")},
         "inputs": {str(p): _sha256(Path(p)) for p in inputs if p},
         "outputs": [str(p) for p in outputs],
         "seed": seed,
@@ -168,7 +168,7 @@ def _config_section(config: dict, name: str) -> dict:
     return section
 
 
-def _pool_instances(pool: CandidatePool, num_roles: int, disentangle: bool, cap: int) -> list[MatchingInstance]:
+def _pool_instances(pool: CandidatePool, disentangle: bool, cap: int) -> list[MatchingInstance]:
     """One instance per candidate: its speaker's filtered thread, else the raw context tail."""
     instances = []
     for candidate, label in pool.candidates:
@@ -180,29 +180,29 @@ def _pool_instances(pool: CandidatePool, num_roles: int, disentangle: bool, cap:
                 )
                 continue
         example = DialogueExample(context=pool.context[-cap:], response=candidate, label=label)
-        instances.append(instance_from_example(example, num_roles))
+        instances.append(instance_from_example(example))
     return instances
 
 
-def _load_instances(path: str, fmt: str, num_roles: int, disentangle: bool, cap: int) -> list[MatchingInstance]:
+def _load_instances(path: str, fmt: str, disentangle: bool, cap: int) -> list[MatchingInstance]:
     loaded = load_channel(path, fmt)
     if not loaded:
         raise CorpusError("%s holds no examples" % path)
     if fmt == "tsv":
-        return [instance_from_example(replace(ex, context=ex.context[-cap:]), num_roles) for ex in loaded]
+        return [instance_from_example(replace(ex, context=ex.context[-cap:])) for ex in loaded]
     if isinstance(loaded[0], CandidatePool):
         instances = []
         for pool in loaded:
-            instances.extend(_pool_instances(pool, num_roles, disentangle, cap))
+            instances.extend(_pool_instances(pool, disentangle, cap))
         return instances
     raise CorpusError("%s holds a bare utterance channel; need examples or candidate pools" % path)
 
 
-def _load_instance_pools(path: str, num_roles: int, disentangle: bool, cap: int) -> list[list[MatchingInstance]]:
+def _load_instance_pools(path: str, disentangle: bool, cap: int) -> list[list[MatchingInstance]]:
     loaded = load_channel(path, "jsonl")
     if not loaded or not isinstance(loaded[0], CandidatePool):
         raise CorpusError("%s does not contain candidate pools" % path)
-    return [_pool_instances(pool, num_roles, disentangle, cap) for pool in loaded]
+    return [_pool_instances(pool, disentangle, cap) for pool in loaded]
 
 
 def score_pools(
@@ -328,19 +328,13 @@ def _prepare_training(args, phase: str):
 def _run_phase(args, phase: str) -> int:
     started = _start()
     vocab, model_config, train_config, params, seed = _prepare_training(args, phase)
-    instances = _load_instances(
-        args.data, args.format, model_config.num_speaker_roles,
-        disentangle=not args.no_disentangle, cap=args.cap,
-    )
+    instances = _load_instances(args.data, args.format, disentangle=not args.no_disentangle, cap=args.cap)
     if phase == "adapt" and sum(inst.label == 1 for inst in instances) < 2:
         raise CorpusError("%s has fewer than 2 label-1 examples to adapt on" % args.data)
     validation = None
     if args.validation:
         if phase == "finetune":
-            validation = _load_instance_pools(
-                args.validation, model_config.num_speaker_roles,
-                disentangle=not args.no_disentangle, cap=args.cap,
-            )
+            validation = _load_instance_pools(args.validation, disentangle=not args.no_disentangle, cap=args.cap)
             sizes = sorted({len(pool) for pool in validation})
             if len(sizes) > 1:
                 raise CorpusError("validation pools in %s have mixed candidate counts %s" % (args.validation, sizes))
@@ -350,8 +344,7 @@ def _run_phase(args, phase: str) -> int:
             validation = [
                 inst
                 for inst in _load_instances(
-                    args.validation, args.format, model_config.num_speaker_roles,
-                    disentangle=not args.no_disentangle, cap=args.cap,
+                    args.validation, args.format, disentangle=not args.no_disentangle, cap=args.cap
                 )
                 if inst.label == 1
             ]
@@ -406,10 +399,7 @@ def cmd_evaluate(args) -> int:
     if model_config.vocab_size != len(vocab):
         raise CorpusError("checkpoint vocab size %d does not match vocabulary %d"
                           % (model_config.vocab_size, len(vocab)))
-    pools = _load_instance_pools(
-        args.pools, model_config.num_speaker_roles,
-        disentangle=not args.no_disentangle, cap=args.cap,
-    )
+    pools = _load_instance_pools(args.pools, disentangle=not args.no_disentangle, cap=args.cap)
     scores = score_pools(pools, params, model_config, vocab)
     ranked = [rank_scores(s, [inst.label for inst in pool]) for s, pool in zip(scores, pools)]
     cutoffs = _parse_recall_cutoffs(args.recall, pools)
@@ -428,7 +418,7 @@ def cmd_evaluate(args) -> int:
 def cmd_encode(args) -> int:
     started = _start()
     vocab = Vocabulary.load(args.vocab)
-    instances = _load_instances(args.data, args.format, args.num_roles, not args.no_disentangle, args.cap)
+    instances = _load_instances(args.data, args.format, not args.no_disentangle, args.cap)
     if not 0 <= args.row < len(instances):
         raise UsageError("--row %d out of range (have %d instances)" % (args.row, len(instances)))
     enc = encode_instance(instances[args.row], vocab, args.max_len)
@@ -532,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--row", type=int, default=0, help="which instance to show")
     p.add_argument("--max-len", type=int, default=64)
-    p.add_argument("--num-roles", type=int, default=3)
     p.add_argument("--out", help="also write the dump to this file")
     p.set_defaults(func=cmd_encode)
 

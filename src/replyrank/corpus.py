@@ -185,7 +185,8 @@ def load_channel(path: str | Path, format: str = "jsonl"):
       validated as strictly increasing.
     * ``jsonl`` with candidate records -> list of CandidatePool; the context
       accumulator resets after each pool so independent pools can share one
-      file.
+      file, and records after the last pool, which belong to none, are an
+      error.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
@@ -201,9 +202,12 @@ def load_channel(path: str | Path, format: str = "jsonl"):
     utterances: list[Utterance] = []
     pools: list[CandidatePool] = []
     segment: list[Utterance] = []
+    segment_start = 0  # record number of the segment's first utterance
     last_index: int | None = None
     for number, record in _parse_jsonl_records(text.splitlines()):
         utt = record_to_utterance(record, number)
+        if not segment:
+            segment_start = number
         if last_index is not None and utt.index <= last_index:
             raise CorpusError(
                 "record %d: index %d is not strictly increasing (previous %d)"
@@ -222,6 +226,8 @@ def load_channel(path: str | Path, format: str = "jsonl"):
             pools.append(CandidatePool(context=tuple(segment), candidates=candidates))
             segment = []
             last_index = None
+    if pools and segment:
+        raise CorpusError("record %d: follows the last candidate record and belongs to no pool" % segment_start)
     if pools:
         return pools
     return utterances

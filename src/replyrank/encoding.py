@@ -20,6 +20,9 @@ from .tokenizer import CLS, EOT, EOU, SEP, Vocabulary, tokenize
 
 RESPONSE_FLOOR = 8  # response tail-truncation never goes below this many tokens
 
+# Speaker-role ids: 0 is reserved for [CLS], [SEP] and padding; 1 and 2 are the two roles.
+NUM_SPEAKER_ROLES = 3
+
 
 @dataclass(frozen=True)
 class EncodedInput:
@@ -52,25 +55,23 @@ class MatchingInstance:
     label: int
 
 
-def assign_roles_by_appearance(speakers: Iterable[str], num_roles: int) -> dict[str, int]:
-    """Map speakers to role ids 1..num_roles-1 by first appearance, cycling.
+def assign_roles_by_appearance(speakers: Iterable[str]) -> dict[str, int]:
+    """Map speakers to role ids 1 and 2 by first appearance, alternating.
 
     Used for corpora without explicit addressing: the first speaker gets
-    role 1, the second role 2, and so on (id 0 stays reserved).
+    role 1, the second role 2, the third role 1 again, and so on.
     """
-    if num_roles < 3:
-        raise ValueError("num_roles must be >= 3 (reserved id plus two roles)")
     roles: dict[str, int] = {}
     for speaker in speakers:
         if speaker not in roles:
-            roles[speaker] = len(roles) % (num_roles - 1) + 1
+            roles[speaker] = len(roles) % (NUM_SPEAKER_ROLES - 1) + 1
     return roles
 
 
-def instance_from_example(example, num_roles: int = 3) -> MatchingInstance:
+def instance_from_example(example) -> MatchingInstance:
     """Role-annotate a DialogueExample by speaker appearance order."""
     speakers = [utt.spoken_from for utt in example.context] + [example.response.spoken_from]
-    roles = assign_roles_by_appearance(speakers, num_roles)
+    roles = assign_roles_by_appearance(speakers)
     context = tuple((utt, roles[utt.spoken_from]) for utt in example.context)
     return MatchingInstance(
         context=context,
@@ -180,11 +181,8 @@ def encode_instance(instance: MatchingInstance, vocab: Vocabulary, max_len: int)
 
 
 def format_tracks(enc: EncodedInput, vocab: Vocabulary) -> str:
-    """Render the id tracks as aligned columns for inspection.
-
-    Positions are row indices and every position is real, so ``mask`` is 1.
-    """
-    rows = [("pos", "token", "id", "seg", "spk", "mask")]
+    """Render the id tracks as aligned columns for inspection, one row per position."""
+    rows = [("pos", "token", "id", "seg", "spk")]
     for i, token_id in enumerate(enc.token_ids):
         rows.append(
             (
@@ -193,10 +191,9 @@ def format_tracks(enc: EncodedInput, vocab: Vocabulary) -> str:
                 str(token_id),
                 str(enc.segment_ids[i]),
                 str(enc.speaker_ids[i]),
-                "1",
             )
         )
-    widths = [max(len(row[col]) for row in rows) for col in range(6)]
+    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
     return "\n".join(
         "  ".join(cell.ljust(width) for cell, width in zip(row, widths)) for row in rows
     )

@@ -14,19 +14,19 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy.special import erf, expit
 
-from .encoding import EncodedInput
+from .encoding import NUM_SPEAKER_ROLES, EncodedInput
 from .tokenizer import PAD
 
 LN_EPS = 1e-6
 INIT_STD = 0.02
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 
 class NumericError(Exception):
@@ -37,6 +37,11 @@ class CheckpointError(ValueError):
     """A checkpoint file that is not a readable replyrank .npz archive."""
 
 
+def _is_int(value) -> bool:
+    """An integer that is not a bool: JSON ``true`` must not pass as 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
@@ -45,29 +50,20 @@ class ModelConfig:
     num_heads: int = 4
     ffn_dim: int = 128
     max_seq_len: int = 128
-    num_speaker_roles: int = 3
-    dropout_rate: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        sizes = (
-            self.vocab_size, self.hidden_dim, self.num_layers, self.num_heads, self.ffn_dim,
-            self.max_seq_len, self.num_speaker_roles,
-        )
-        if not all(isinstance(n, int) and n >= 1 for n in sizes):
+        sizes = (self.vocab_size, self.hidden_dim, self.num_layers, self.num_heads, self.ffn_dim, self.max_seq_len)
+        if not all(_is_int(n) and n >= 1 for n in sizes):
             raise ValueError("vocab_size and the model dimensions must be positive integers")
-        if not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             raise ValueError("seed must be an integer")
         if self.hidden_dim % self.num_heads != 0:
             raise ValueError(
                 "hidden_dim %d not divisible by num_heads %d" % (self.hidden_dim, self.num_heads)
             )
-        if self.num_speaker_roles < 3:
-            raise ValueError("num_speaker_roles must be >= 3 (reserved id plus two roles)")
         if self.max_seq_len < 8:
             raise ValueError("max_seq_len must be >= 8")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -77,7 +73,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         "token_table": (v, h),
         "segment_table": (2, h),
         "position_table": (config.max_seq_len, h),
-        "speaker_table": (config.num_speaker_roles, h),
+        "speaker_table": (NUM_SPEAKER_ROLES, h),
     }
     for i in range(config.num_layers):
         prefix = "layer%d." % i
@@ -176,7 +172,7 @@ def _check_ids(batch: Batch, config: ModelConfig) -> None:
     tracks = (
         ("token_ids", batch.token_ids, config.vocab_size),
         ("segment_ids", batch.segment_ids, 2),
-        ("speaker_ids", batch.speaker_ids, config.num_speaker_roles),
+        ("speaker_ids", batch.speaker_ids, NUM_SPEAKER_ROLES),
     )
     for name, ids, limit in tracks:
         bad = (ids < 0) | (ids >= limit)
@@ -198,13 +194,11 @@ class LayerTrace:
     v: np.ndarray
     attn: np.ndarray
     merged: np.ndarray
-    attn_drop: np.ndarray | None
     ln_attn_xhat: np.ndarray
     ln_attn_inv_std: np.ndarray
     x_mid: np.ndarray
     z1: np.ndarray
     hidden_act: np.ndarray
-    ffn_drop: np.ndarray | None
     ln_ffn_xhat: np.ndarray
     ln_ffn_inv_std: np.ndarray
 
@@ -284,7 +278,6 @@ def forward_batch(
     batch: Batch,
     params: dict[str, np.ndarray],
     config: ModelConfig,
-    rng: np.random.Generator | None = None,
     mlm_positions: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Run the encoder on a batch: ``(match, mlm, nsp logits, trace)``.
@@ -300,11 +293,7 @@ def forward_batch(
     attention mask is the only record of padding.  Padded key positions
     receive -inf attention scores, so no activation at an unmasked position
     depends on padding content or on how many padding columns there are.
-    Dropout (when enabled) applies to the two sublayer outputs before their
-    residual adds and requires an rng; ``score_batch`` runs without it.
     """
-    if config.dropout_rate > 0.0 and rng is None:
-        raise ValueError("dropout_rate > 0 requires an rng")
     rows, cols = ((), ()) if mlm_positions is None else mlm_positions
     rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     x = embed_batch(batch, params, config)
@@ -328,14 +317,12 @@ def forward_batch(
         attn /= attn.sum(axis=-1, keepdims=True)
         merged = _merge_heads(attn @ v)
         attn_out = merged @ params[prefix + "attn.wo"] + params[prefix + "attn.bo"]
-        attn_out, attn_drop = _dropout(attn_out, config.dropout_rate, rng)
         x_mid, xhat1, inv_std1 = _layer_norm(
             x + attn_out, params[prefix + "ln_attn.gain"], params[prefix + "ln_attn.bias"]
         )
         z1 = x_mid @ params[prefix + "ffn.w1"] + params[prefix + "ffn.b1"]
         hidden_act = _gelu(z1)
         ffn_out = hidden_act @ params[prefix + "ffn.w2"] + params[prefix + "ffn.b2"]
-        ffn_out, ffn_drop = _dropout(ffn_out, config.dropout_rate, rng)
         x_out, xhat2, inv_std2 = _layer_norm(
             x_mid + ffn_out, params[prefix + "ln_ffn.gain"], params[prefix + "ln_ffn.bias"]
         )
@@ -343,9 +330,9 @@ def forward_batch(
             raise NumericError("non-finite activations after encoder layer %d" % i)
         trace.layers.append(
             LayerTrace(
-                x_in=x, q=q, k=k, v=v, attn=attn, merged=merged, attn_drop=attn_drop,
+                x_in=x, q=q, k=k, v=v, attn=attn, merged=merged,
                 ln_attn_xhat=xhat1, ln_attn_inv_std=inv_std1, x_mid=x_mid,
-                z1=z1, hidden_act=hidden_act, ffn_drop=ffn_drop,
+                z1=z1, hidden_act=hidden_act,
                 ln_ffn_xhat=xhat2, ln_ffn_inv_std=inv_std2,
             )
         )
@@ -359,16 +346,9 @@ def forward_batch(
     return match_logits, mlm_logits, nsp_logits, trace
 
 
-def _dropout(x: np.ndarray, rate: float, rng: np.random.Generator | None):
-    if rate <= 0.0:
-        return x, None
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * mask, mask
-
-
 def score_batch(batch: Batch, params: dict[str, np.ndarray], config: ModelConfig) -> np.ndarray:
-    """Matching probabilities for a batch, with dropout off (inference)."""
-    match_logits, _, _, _ = forward_batch(batch, params, replace(config, dropout_rate=0.0))
+    """Matching probabilities for a batch."""
+    match_logits, _, _, _ = forward_batch(batch, params, config)
     return expit(match_logits)
 
 
@@ -425,10 +405,9 @@ def backward(
         )
         grads[prefix + "ln_ffn.gain"] += dgain2
         grads[prefix + "ln_ffn.bias"] += dbias2
-        dffn_out = dsum2 if lt.ffn_drop is None else dsum2 * lt.ffn_drop
-        grads[prefix + "ffn.w2"] += lt.hidden_act.reshape(-1, config.ffn_dim).T @ dffn_out.reshape(-1, h)
-        grads[prefix + "ffn.b2"] += dffn_out.sum(axis=(0, 1))
-        dz1 = (dffn_out @ params[prefix + "ffn.w2"].T) * _gelu_grad(lt.z1)
+        grads[prefix + "ffn.w2"] += lt.hidden_act.reshape(-1, config.ffn_dim).T @ dsum2.reshape(-1, h)
+        grads[prefix + "ffn.b2"] += dsum2.sum(axis=(0, 1))
+        dz1 = (dsum2 @ params[prefix + "ffn.w2"].T) * _gelu_grad(lt.z1)
         grads[prefix + "ffn.w1"] += lt.x_mid.reshape(-1, h).T @ dz1.reshape(-1, config.ffn_dim)
         grads[prefix + "ffn.b1"] += dz1.sum(axis=(0, 1))
         dx_mid = dsum2 + dz1 @ params[prefix + "ffn.w1"].T
@@ -438,10 +417,9 @@ def backward(
         )
         grads[prefix + "ln_attn.gain"] += dgain1
         grads[prefix + "ln_attn.bias"] += dbias1
-        dattn_out = dsum1 if lt.attn_drop is None else dsum1 * lt.attn_drop
-        grads[prefix + "attn.wo"] += lt.merged.reshape(-1, h).T @ dattn_out.reshape(-1, h)
-        grads[prefix + "attn.bo"] += dattn_out.sum(axis=(0, 1))
-        dmerged = dattn_out @ params[prefix + "attn.wo"].T
+        grads[prefix + "attn.wo"] += lt.merged.reshape(-1, h).T @ dsum1.reshape(-1, h)
+        grads[prefix + "attn.bo"] += dsum1.sum(axis=(0, 1))
+        dmerged = dsum1 @ params[prefix + "attn.wo"].T
         dctx = _split_heads(dmerged, config.num_heads)
 
         dattn = dctx @ lt.v.swapaxes(-1, -2)

@@ -35,11 +35,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    @property
-    def content_ids(self) -> range:
-        """Ids of ordinary (non-special) tokens."""
-        return range(NUM_SPECIALS, len(self.id_to_token))
-
     def save(self, path: str | Path) -> None:
         Path(path).write_text("\n".join(self.id_to_token) + "\n", encoding="utf-8")
 

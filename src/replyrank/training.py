@@ -21,20 +21,11 @@ from scipy.special import expit, logsumexp
 
 from .encoding import EncodedInput, MatchingInstance, build_input, encode_instance
 from .evaluation import rank_scores, recall_at_k
-from .model import (
-    ModelConfig,
-    backward,
-    forward_batch,
-    stack_inputs,
-)
+from .model import ModelConfig, _is_int, backward, forward_batch, stack_inputs
 from .tokenizer import MASK, NUM_SPECIALS, UNK, Vocabulary
 from .corpus import Utterance
 
 STRUCTURAL_IDS = frozenset(i for i in range(NUM_SPECIALS) if i != UNK)
-
-# Dropout draws from its own stream, offset from the train seed, so a run's
-# shuffling and masking draws do not depend on the dropout rate.
-DROPOUT_SEED_OFFSET = 7919
 
 MaskAction = Literal["mask", "random", "keep"]
 
@@ -59,15 +50,16 @@ class TrainConfig:
     mask_fraction: float = 0.15
     weight_decay: float = 0.01
     seed: int = 0
-    mlm_weight: float = 1.0
-    nsp_weight: float = 1.0
     freeze_speaker_table: bool = False
 
     def __post_init__(self) -> None:
-        if not all(isinstance(n, int) for n in (self.batch_size, self.max_epochs, self.seed)):
+        if not all(_is_int(n) for n in (self.batch_size, self.max_epochs, self.seed)):
             raise ValueError("batch_size, max_epochs and seed must be integers")
-        if not all(isinstance(x, (int, float)) for x in (self.weight_decay, self.mlm_weight, self.nsp_weight)):
-            raise ValueError("weight_decay, mlm_weight and nsp_weight must be numbers")
+        numbers = (self.learning_rate, self.mask_fraction, self.weight_decay)
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in numbers):
+            raise ValueError("learning_rate, mask_fraction and weight_decay must be numbers")
+        if not isinstance(self.freeze_speaker_table, bool):
+            raise ValueError("freeze_speaker_table must be true or false")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 < self.mask_fraction < 1.0:
@@ -255,11 +247,9 @@ def linear_lr(base_lr: float, step: int, total_steps: int) -> float:
 # --- training loop -------------------------------------------------------------
 
 
-def _finetune_batch(
-    encoded: list[EncodedInput], labels: np.ndarray, params, model_config, dropout_rng=None
-):
+def _finetune_batch(encoded: list[EncodedInput], labels: np.ndarray, params, model_config):
     batch = stack_inputs(encoded)
-    match_logits, mlm_logits, _, trace = forward_batch(batch, params, model_config, dropout_rng)
+    match_logits, mlm_logits, _, trace = forward_batch(batch, params, model_config)
     losses = np.logaddexp(0.0, match_logits) - labels * match_logits
     d_match = (expit(match_logits) - labels) / len(labels)
     d_nsp = np.zeros((len(labels), 2))
@@ -273,9 +263,8 @@ def _adaptation_losses(
     nsp_labels: np.ndarray,
     params,
     model_config,
-    dropout_rng=None,
 ):
-    """Unweighted adaptation losses on one batch: ``(mlm_losses, nsp_losses, d_mlm, d_nsp, trace)``.
+    """Adaptation losses on one batch: ``(mlm_losses, nsp_losses, d_mlm, d_nsp, trace)``.
 
     ``mlm_losses`` holds one cross-entropy per masked position, in plan
     order, and ``nsp_losses`` one per pair; ``d_mlm`` and ``d_nsp`` are
@@ -286,15 +275,15 @@ def _adaptation_losses(
     cols = np.array([pos.index for plan in plans for pos in plan])
     targets = np.array([pos.original_id for plan in plans for pos in plan])
     batch = stack_inputs(encoded)
-    _, mlm_logits, nsp_logits, trace = forward_batch(batch, params, model_config, dropout_rng, (rows, cols))
+    _, mlm_logits, nsp_logits, trace = forward_batch(batch, params, model_config, (rows, cols))
     mlm_losses, d_mlm = _softmax_ce_rows(mlm_logits, targets)
     nsp_losses, d_nsp = _softmax_ce_rows(nsp_logits, nsp_labels)
     return mlm_losses, nsp_losses, d_mlm, d_nsp, trace
 
 
-def _adaptation_objective(mlm_losses: np.ndarray, nsp_losses: np.ndarray, train_config) -> float:
-    """The weighted sum of the mean masked-token loss and the mean pair loss."""
-    return float(train_config.mlm_weight * mlm_losses.mean() + train_config.nsp_weight * nsp_losses.mean())
+def _adaptation_objective(mlm_losses: np.ndarray, nsp_losses: np.ndarray) -> float:
+    """The sum of the mean masked-token loss and the mean pair loss."""
+    return float(mlm_losses.mean() + nsp_losses.mean())
 
 
 def _adaptation_validation_loss(
@@ -305,23 +294,22 @@ def _adaptation_validation_loss(
     model_config,
     train_config,
 ) -> float:
-    """The adaptation objective over a fixed validation draw, without dropout.
+    """The adaptation objective over a fixed validation draw.
 
     The draw is scored in chunks of ``batch_size`` rows, so memory does not
     grow with the validation set; the per-position and per-pair losses of
     all chunks make up one masked-token mean and one pair mean.
     """
-    eval_config = replace(model_config, dropout_rate=0.0)
     mlm, nsp = [], []
     for start in range(0, len(encoded), train_config.batch_size):
         chunk = slice(start, start + train_config.batch_size)
         # keep only the losses, so one chunk's trace is freed before the next is built
         mlm_losses, nsp_losses = _adaptation_losses(
-            encoded[chunk], plans[chunk], nsp_labels[chunk], params, eval_config
+            encoded[chunk], plans[chunk], nsp_labels[chunk], params, model_config
         )[:2]
         mlm.append(mlm_losses)
         nsp.append(nsp_losses)
-    return _adaptation_objective(np.concatenate(mlm), np.concatenate(nsp), train_config)
+    return _adaptation_objective(np.concatenate(mlm), np.concatenate(nsp))
 
 
 def _adaptation_batch(
@@ -330,17 +318,15 @@ def _adaptation_batch(
     nsp_labels: np.ndarray,
     params,
     model_config,
-    train_config,
-    dropout_rng=None,
 ):
     """The adaptation objective on one batch and its gradients: ``(loss, grads)``."""
     mlm_losses, nsp_losses, d_mlm, d_nsp, trace = _adaptation_losses(
-        encoded, plans, nsp_labels, params, model_config, dropout_rng
+        encoded, plans, nsp_labels, params, model_config
     )
-    d_mlm *= train_config.mlm_weight / len(mlm_losses)
-    d_nsp *= train_config.nsp_weight / len(nsp_losses)
+    d_mlm *= 1.0 / len(mlm_losses)
+    d_nsp *= 1.0 / len(nsp_losses)
     grads = backward(trace, params, np.zeros(len(encoded)), d_nsp, d_mlm)
-    return _adaptation_objective(mlm_losses, nsp_losses, train_config), grads
+    return _adaptation_objective(mlm_losses, nsp_losses), grads
 
 
 def _validation_recall_at_1(pools: Sequence[Sequence[MatchingInstance]], params, model_config, vocab) -> float:
@@ -381,7 +367,6 @@ def train(
         raise ValueError("dataset is empty")
     max_len = model_config.max_seq_len
     rng = np.random.default_rng(train_config.seed)
-    dropout_rng = np.random.default_rng(train_config.seed + DROPOUT_SEED_OFFSET)
 
     if train_config.freeze_speaker_table:
         params["speaker_table"][:] = 0.0
@@ -422,14 +407,14 @@ def train(
             if phase == "finetune":
                 loss, grads = _finetune_batch(
                     [encoded_cache[j] for j in batch_idx], labels_cache[batch_idx],
-                    params, model_config, dropout_rng,
+                    params, model_config,
                 )
             else:
                 corrupted = _corrupted_pairs(
                     [instances[j] for j in batch_idx], response_pool, vocab, max_len,
                     train_config.mask_fraction, rng,
                 )
-                loss, grads = _adaptation_batch(*corrupted, params, model_config, train_config, dropout_rng)
+                loss, grads = _adaptation_batch(*corrupted, params, model_config)
             if not math.isfinite(loss):
                 raise TrainingDiverged("non-finite loss at step %d" % step)
             adamw_step(params, grads, state, lr, train_config.weight_decay, frozen=frozen)

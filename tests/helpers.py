@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from replyrank.corpus import Utterance
-from replyrank.encoding import EncodedInput, MatchingInstance, build_input
+from replyrank.encoding import NUM_SPEAKER_ROLES, EncodedInput, MatchingInstance, build_input
 from replyrank.model import Batch, ModelConfig, backward, forward_batch, stack_inputs
 from replyrank.tokenizer import NUM_SPECIALS, PAD, Vocabulary, build_vocab
 
@@ -47,7 +47,7 @@ def random_channel(rng: np.random.Generator, max_len=50, max_speakers=8, to_dens
     return channel, speakers
 
 
-def random_encoded(rng: np.random.Generator, vocab=VOCAB, max_len=32, num_roles=3) -> EncodedInput:
+def random_encoded(rng: np.random.Generator, vocab=VOCAB, max_len=32) -> EncodedInput:
     """Random but well-formed encoded input built through the real assembler."""
     n_utts = int(rng.integers(1, 4))
     context = []
@@ -56,11 +56,11 @@ def random_encoded(rng: np.random.Generator, vocab=VOCAB, max_len=32, num_roles=
         text = " ".join(WORDS[int(rng.integers(len(WORDS)))] for _ in range(int(rng.integers(1, 6))))
         context.append(
             (Utterance(index=i, spoken_from=speakers[int(rng.integers(len(speakers)))], spoken_to=None, text=text),
-             int(rng.integers(1, num_roles)))
+             int(rng.integers(1, NUM_SPEAKER_ROLES)))
         )
     response_text = " ".join(WORDS[int(rng.integers(len(WORDS)))] for _ in range(int(rng.integers(1, 6))))
     response = Utterance(index=n_utts, spoken_from="s1", spoken_to=None, text=response_text)
-    return build_input(context, response, int(rng.integers(1, num_roles)), vocab, max_len)
+    return build_input(context, response, int(rng.integers(1, NUM_SPEAKER_ROLES)), vocab, max_len)
 
 
 def widen(batch: Batch, width: int) -> Batch:
@@ -87,7 +87,7 @@ def reference_attention(q: np.ndarray, k: np.ndarray, attention_mask: np.ndarray
 def tiny_model_config(vocab_size, **overrides) -> ModelConfig:
     defaults = dict(
         vocab_size=vocab_size, hidden_dim=16, num_layers=2, num_heads=2,
-        ffn_dim=24, max_seq_len=24, num_speaker_roles=4, dropout_rate=0.0, seed=7,
+        ffn_dim=24, max_seq_len=24, seed=7,
     )
     defaults.update(overrides)
     return ModelConfig(**defaults)
@@ -133,10 +133,10 @@ def combined_loss_grads(params, batch, config, mlm_targets, match_labels, nsp_la
 # --- scalar and dense references for the training losses ------------------------
 
 
-def adaptation_loss(mlm_logits, plan, nsp_logits, nsp_label, mlm_weight=1.0, nsp_weight=1.0) -> float:
+def adaptation_loss(mlm_logits, plan, nsp_logits, nsp_label) -> float:
     """One example's adapt loss from its (L, vocab) logits, position by position.
 
-    The weighted sum of the mean masked-token cross-entropy (targets are the
+    The sum of the mean masked-token cross-entropy (targets are the
     pre-corruption ids) and the pair loss.
     """
     from scipy.special import logsumexp
@@ -145,7 +145,7 @@ def adaptation_loss(mlm_logits, plan, nsp_logits, nsp_label, mlm_weight=1.0, nsp
         raise ValueError("masking plan is empty")
     mlm = np.mean([logsumexp(mlm_logits[pos.index]) - mlm_logits[pos.index][pos.original_id] for pos in plan])
     nsp = logsumexp(nsp_logits) - nsp_logits[nsp_label]
-    return float(mlm_weight * mlm + nsp_weight * nsp)
+    return float(mlm + nsp)
 
 
 def finetune_loss(score: float, label: int) -> float:
@@ -157,7 +157,7 @@ def finetune_loss(score: float, label: int) -> float:
     return -(label * math.log(score) + (1 - label) * math.log(1.0 - score))
 
 
-def dense_adaptation_reference(encoded, plans, nsp_labels, params, config, train_config):
+def dense_adaptation_reference(encoded, plans, nsp_labels, params, config):
     """The adapt loss and gradients computed over dense (B, L, vocab) logits.
 
     The logits and the vocabulary head's gradients are computed here from the
@@ -184,15 +184,15 @@ def dense_adaptation_reference(encoded, plans, nsp_labels, params, config, train
     mlm = (log_z - picked[np.arange(len(targets)), targets]).mean()
     log_zn = logsumexp(nsp_logits, axis=-1)
     nsp = (log_zn - nsp_logits[np.arange(b), nsp_labels]).mean()
-    loss = train_config.mlm_weight * mlm + train_config.nsp_weight * nsp
+    loss = mlm + nsp
 
     probs = np.exp(picked - log_z[:, None])
     probs[np.arange(len(targets)), targets] -= 1.0
     d_dense = np.zeros_like(logits)
-    np.add.at(d_dense, (rows_b, rows_i), probs * (train_config.mlm_weight / len(targets)))
+    np.add.at(d_dense, (rows_b, rows_i), probs * (1.0 / len(targets)))
     nprobs = np.exp(nsp_logits - log_zn[:, None])
     nprobs[np.arange(b), nsp_labels] -= 1.0
-    d_nsp = nprobs * (train_config.nsp_weight / b)
+    d_nsp = nprobs * (1.0 / b)
     grads = backward(trace, params, np.zeros(b), d_nsp, d_dense.reshape(b * l, config.vocab_size))
     grads["mlm_head.w"] = final.reshape(b * l, -1).T @ d_dense.reshape(b * l, config.vocab_size)
     grads["mlm_head.b"] = d_dense.sum(axis=(0, 1))
@@ -243,7 +243,7 @@ def gradcheck_setup(config, rng, batch_size=2):
         split = 1 + int(rng.integers(1, content))
         tokens.insert(split, SEP)
         segs = [0] * (split + 1) + [1] * (len(tokens) - split - 1)
-        spk = [0] + [int(rng.integers(0, config.num_speaker_roles)) for _ in range(len(tokens) - 2)] + [0]
+        spk = [0] + [int(rng.integers(0, NUM_SPEAKER_ROLES)) for _ in range(len(tokens) - 2)] + [0]
         encs.append(EncodedInput(token_ids=tuple(tokens), segment_ids=tuple(segs), speaker_ids=tuple(spk)))
     batch = widen(stack_inputs(encs), length)
     rows_b, rows_i = [], []

@@ -68,13 +68,11 @@ class TestPaddingInvariance:
         masked = [apply_masking(enc, plan) for enc, plan in zip(inputs, plans)]
         nsp_labels = rng.integers(0, 2, size=size)
         loss, grads = _finetune_batch(inputs, labels, params, CONFIG)
-        adapt_loss, adapt_grads = _adaptation_batch(masked, plans, nsp_labels, params, CONFIG, train_config)
+        adapt_loss, adapt_grads = _adaptation_batch(masked, plans, nsp_labels, params, CONFIG)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(training, "stack_inputs", stack_wide)
             padded_loss, padded_grads = _finetune_batch(inputs, labels, params, CONFIG)
-            padded_adapt_loss, padded_adapt_grads = _adaptation_batch(
-                masked, plans, nsp_labels, params, CONFIG, train_config
-            )
+            padded_adapt_loss, padded_adapt_grads = _adaptation_batch(masked, plans, nsp_labels, params, CONFIG)
         assert_close(loss, padded_loss)
         for name in grads:
             assert_close(grads[name], padded_grads[name])

@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from replyrank.cli import main
-from replyrank.model import load_checkpoint
+from replyrank.cli import _prepare_training, build_parser, main
+from replyrank.model import CHECKPOINT_FORMAT, load_checkpoint
 from replyrank.tokenizer import SPECIAL_TOKENS
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "toy"
+REPO = Path(__file__).resolve().parent.parent
+DATA_DIR = REPO / "data" / "toy"
 
 MINI_CONFIG = {
     "model": {
@@ -20,7 +21,6 @@ MINI_CONFIG = {
         "num_heads": 2,
         "ffn_dim": 24,
         "max_seq_len": 48,
-        "num_speaker_roles": 3,
     },
     "train": {"learning_rate": 3e-3, "batch_size": 8, "max_epochs": 2},
 }
@@ -214,25 +214,6 @@ class TestTrainingCommands:
             assert np.array_equal(a[name], b[name]), name
         assert (workdir / "a.npz.csv").read_text() == (workdir / "b.npz.csv").read_text()
 
-    def test_dropout_config_trains_and_replays(self, workdir):
-        config = json.loads((workdir / "config.json").read_text())
-        config["model"]["dropout_rate"] = 0.1
-        (workdir / "dropout.json").write_text(json.dumps(config))
-        vocab = self._vocab(workdir)
-        outs = [workdir / "d1.npz", workdir / "d2.npz"]
-        for out in outs:
-            assert run("finetune", "--data", workdir / "train.tsv", "--vocab", vocab,
-                       "--config", workdir / "dropout.json", "--checkpoint-out", out,
-                       "--validation", workdir / "pools.jsonl", "--seed", "0",
-                       "--loss-log", str(out) + ".csv") == 0
-        _, a = load_checkpoint(outs[0])
-        _, b = load_checkpoint(outs[1])
-        for name in a:
-            assert np.array_equal(a[name], b[name]), name
-        assert (workdir / "d1.npz.csv").read_text() == (workdir / "d2.npz.csv").read_text()
-        assert run("evaluate", "--pools", workdir / "pools.jsonl", "--checkpoint", outs[0],
-                   "--vocab", vocab) == 0
-
     def test_malformed_tsv_is_data_error(self, workdir):
         vocab = self._vocab(workdir)
         bad = workdir / "bad.tsv"
@@ -294,13 +275,19 @@ class TestTrainingCommands:
             {"train": {"max_epochs": 1.5}},
             {"train": {"seed": "x"}},
             {"model": {"max_seq_len": 128.5}},
-            {"model": {"num_speaker_roles": 3.0}},
+            {"model": {"num_speaker_roles": 3}},
             {"train": {"weight_decay": "x"}},
-            {"adapt": {"mlm_weight": "x"}},
+            {"adapt": {"mlm_weight": 1.0}},
             {"model": {"seed": "x"}},
+            {"model": {"dropout_rate": 0.1}},
+            {"train": {"batch_size": True}},
+            {"model": {"num_layers": True}},
+            {"train": {"freeze_speaker_table": "false"}},
+            {"train": {"learning_rate": True}},
         ],
         ids=["train-list", "train-int", "adapt-list", "model-list", "batch-size", "max-epochs", "seed",
-             "max-seq-len", "speaker-roles", "weight-decay", "mlm-weight", "model-seed"],
+             "max-seq-len", "speaker-roles", "weight-decay", "mlm-weight", "model-seed", "dropout-rate",
+             "batch-size-bool", "num-layers-bool", "freeze-flag-string", "learning-rate-bool"],
     )
     def test_malformed_config_is_usage_error(self, workdir, capsys, config):
         (workdir / "config.json").write_text(json.dumps(config))
@@ -361,14 +348,19 @@ class TestTrainingCommands:
     def test_manifest_records_inputs_and_seed(self, workdir):
         vocab = self._vocab(workdir)
         out = workdir / "m.npz"
-        assert run("finetune", "--data", workdir / "train.tsv", "--vocab", vocab,
-                   "--config", workdir / "config.json", "--checkpoint-out", out,
-                   "--seed", "5") == 0
-        manifest = json.loads((workdir / "m.npz.manifest.json").read_text())
+        configs = []
+        for _ in range(2):
+            assert run("finetune", "--data", workdir / "train.tsv", "--vocab", vocab,
+                       "--config", workdir / "config.json", "--checkpoint-out", out,
+                       "--seed", "5") == 0
+            manifest = json.loads((workdir / "m.npz.manifest.json").read_text())
+            configs.append(manifest["config"])
         assert manifest["command"] == "finetune"
         assert manifest["seed"] == 5
         assert str(workdir / "train.tsv") in manifest["inputs"]
         assert all(len(h) == 64 for h in manifest["inputs"].values())
+        assert "func" not in configs[0]
+        assert configs[0] == configs[1]
 
     def test_manifest_records_resources(self, workdir):
         vocab = self._vocab(workdir)
@@ -382,6 +374,21 @@ class TestTrainingCommands:
         assert isinstance(resources["peak_rss_mb"], float) and resources["peak_rss_mb"] > 0
         assert isinstance(resources["minor_faults"], int) and resources["minor_faults"] >= 0
         assert (workdir / "a.csv").read_text().splitlines()[0] == "step,phase,loss,lr"
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("phase", ["adapt", "finetune"])
+    @pytest.mark.parametrize("config", sorted((REPO / "configs").glob("*.json")), ids=lambda path: path.name)
+    def test_builds_model_and_train_config(self, tmp_path, config, phase):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\n".join(SPECIAL_TOKENS + ("hello",)) + "\n")
+        args = build_parser().parse_args([phase, "--data", "unused.tsv", "--vocab", str(vocab),
+                                          "--config", str(config), "--checkpoint-out", "unused.npz"])
+        _, model_config, train_config, _, _ = _prepare_training(args, phase)
+        sections = json.loads(config.read_text())
+        train = {**sections["train"], **sections.get(phase, {})}
+        assert {key: getattr(train_config, key) for key in train} == train
+        assert {key: getattr(model_config, key) for key in sections["model"]} == sections["model"]
 
 
 class TestAllocator:
@@ -434,7 +441,7 @@ class TestEvaluate:
         vv = Vocabulary.load(vocab)
         config, params = load_checkpoint(ckpt)
         ranked = []
-        for pool in _load_instance_pools(str(workdir / "pools.jsonl"), 3, True, 25):
+        for pool in _load_instance_pools(str(workdir / "pools.jsonl"), True, 25):
             batch = stack_inputs([encode_instance(i, vv, config.max_seq_len) for i in pool])
             ranked.append(rank_scores(score_batch(batch, params, config).tolist(),
                                       [i.label for i in pool]))
@@ -517,11 +524,12 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "meta, message",
         [
-            ({"format": 1, "config": {"vocab_size": 10, "bogus": 1}}, "unexpected keyword argument 'bogus'"),
-            ({"format": 1}, "metadata has no model config"),
-            ({"format": 1, "config": {"vocab_size": 10, "hidden_dim": 10, "num_heads": 3}},
+            ({"format": CHECKPOINT_FORMAT, "config": {"vocab_size": 10, "bogus": 1}},
+             "unexpected keyword argument 'bogus'"),
+            ({"format": CHECKPOINT_FORMAT}, "metadata has no model config"),
+            ({"format": CHECKPOINT_FORMAT, "config": {"vocab_size": 10, "hidden_dim": 10, "num_heads": 3}},
              "hidden_dim 10 not divisible by num_heads 3"),
-            ({"format": 1, "config": {"vocab_size": 10, "seed": "x"}}, "seed must be an integer"),
+            ({"format": CHECKPOINT_FORMAT, "config": {"vocab_size": 10, "seed": "x"}}, "seed must be an integer"),
         ],
         ids=["unknown-key", "missing-config", "invalid-value", "string-seed"],
     )
@@ -537,6 +545,32 @@ class TestEvaluate:
         assert err.startswith("data error: checkpoint %s" % ckpt)
         assert message in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_format_1_checkpoint_is_data_error(self, workdir, capsys):
+        pools = workdir / "good.jsonl"
+        self._write_pools(pools, [2])
+        vocab, ckpt = self._untrained(workdir, pools)
+        with np.load(ckpt) as archive:
+            entries = {name: archive[name] for name in archive.files}
+        meta = json.loads(str(entries.pop("__meta__")))
+        old = workdir / "format1.npz"
+        np.savez(old, __meta__=np.array(json.dumps({**meta, "format": 1})), **entries)
+        capsys.readouterr()
+        assert run("evaluate", "--pools", pools, "--checkpoint", old, "--vocab", vocab) == 2
+        assert capsys.readouterr().err == "data error: unsupported checkpoint format 1\n"
+
+    def test_records_after_last_pool_are_data_error(self, workdir, capsys):
+        pools = workdir / "good.jsonl"
+        self._write_pools(pools, [2])
+        vocab, ckpt = self._untrained(workdir, pools)
+        trailing = workdir / "trailing.jsonl"
+        extra = [{"index": 2, "from": "a", "text": "still here"}, {"index": 3, "from": "b", "text": "me too"}]
+        trailing.write_text(pools.read_text() + "".join(json.dumps(r) + "\n" for r in extra))
+        capsys.readouterr()
+        assert run("evaluate", "--pools", trailing, "--checkpoint", ckpt, "--vocab", vocab) == 2
+        assert capsys.readouterr().err == (
+            "data error: record 3: follows the last candidate record and belongs to no pool\n"
+        )
 
     @pytest.mark.parametrize("content", [b"not an archive", b"PK\x03\x04truncated", b"", NPY_BYTES])
     def test_corrupt_checkpoint_is_data_error(self, workdir, capsys, content):
@@ -579,12 +613,12 @@ class TestEncode:
                    "--row", "0", "--max-len", "32") == 0
         out = capsys.readouterr().out
         lines = out.splitlines()
-        assert lines[0].split() == ["pos", "token", "id", "seg", "spk", "mask"]
+        assert lines[0].split() == ["pos", "token", "id", "seg", "spk"]
         # one line per real position, within the --max-len budget; no padding rows
         assert 1 < len(lines) <= 33
         assert "[CLS]" in lines[1]
         assert lines[-1].split()[1] == "[SEP]"
-        assert all(line.split()[-1] == "1" for line in lines[1:])
+        assert all(len(line.split()) == 5 for line in lines[1:])
 
     def test_row_out_of_range(self, workdir):
         vocab = workdir / "vocab.txt"

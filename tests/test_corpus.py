@@ -145,6 +145,18 @@ class TestLoadChannel:
         # the accumulator resets between pools, so indices may restart
         assert pools[1].context[0].index == 0
 
+    def test_records_after_last_pool_rejected(self, tmp_path):
+        path = tmp_path / "pools.jsonl"
+        lines = [
+            {"index": 0, "from": "alice", "text": "anyone around",
+             "candidates": [{"text": "sure", "from": "bob", "label": 1}]},
+            {"index": 1, "from": "carol", "text": "left over"},
+            {"index": 2, "from": "dan", "text": "also left over"},
+        ]
+        path.write_text("\n".join(json.dumps(r) for r in lines) + "\n")
+        with pytest.raises(CorpusError, match="^record 2: follows the last candidate record and belongs to no pool$"):
+            load_channel(path, "jsonl")
+
     @staticmethod
     def _load_one_candidate(tmp_path, **candidate):
         entry = {"text": "thanks", "from": "alice", "label": 1, **candidate}

@@ -163,16 +163,12 @@ class TestBuildInput:
 
 class TestRoleAssignment:
     def test_appearance_order(self):
-        roles = assign_roles_by_appearance(["bob", "amy", "bob", "cat"], num_roles=4)
-        assert roles == {"bob": 1, "amy": 2, "cat": 3}
+        roles = assign_roles_by_appearance(["bob", "amy", "bob", "amy"])
+        assert roles == {"bob": 1, "amy": 2}
 
     def test_cycles_when_table_exhausted(self):
-        roles = assign_roles_by_appearance(["a", "b", "c"], num_roles=3)
+        roles = assign_roles_by_appearance(["a", "b", "c"])
         assert roles == {"a": 1, "b": 2, "c": 1}
-
-    def test_requires_three_roles(self):
-        with pytest.raises(ValueError):
-            assign_roles_by_appearance(["a"], num_roles=2)
 
     def test_instance_from_example_alternation(self):
         example = parse_tsv_example("1\thello\thi there\tgood, you?")
@@ -194,9 +190,9 @@ class TestFormatTracks:
         enc = build_input([(utt(0, "A", text="w01"), 1)], utt(1, "B", text="w02"), 2, VOCAB, 12)
         dump = format_tracks(enc, VOCAB)
         lines = dump.splitlines()
-        assert lines[0].split() == ["pos", "token", "id", "seg", "spk", "mask"]
+        assert lines[0].split() == ["pos", "token", "id", "seg", "spk"]
         # [CLS] w01 [EOU] [EOT] [SEP] w02 [SEP]: one line per real position
         assert len(lines) == 8
         assert "[CLS]" in lines[1]
         assert [line.split()[0] for line in lines[1:]] == [str(i) for i in range(7)]
-        assert all(line.split()[-1] == "1" for line in lines[1:])
+        assert all(len(line.split()) == 5 for line in lines[1:])

@@ -17,7 +17,7 @@ from scipy.special import expit
 from replyrank.encoding import EncodedInput
 from replyrank.model import ModelConfig, forward_batch, init_params, stack_inputs
 from replyrank.tokenizer import CLS, NUM_SPECIALS, SEP
-from replyrank.training import TrainConfig, _adaptation_batch, _finetune_batch, apply_masking, plan_masking
+from replyrank.training import _adaptation_batch, _finetune_batch, apply_masking, plan_masking
 from helpers import (
     VOCAB,
     adaptation_loss,
@@ -65,18 +65,12 @@ class TestRequestedPositions:
 
 class TestAgainstDenseReference:
     @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        size=st.integers(1, 4),
-        mlm_weight=st.sampled_from([1.0, 0.5, 2.0]),
-        nsp_weight=st.sampled_from([1.0, 0.0, 3.0]),
-    )
-    def test_adapt_loss_and_gradients_equal_dense(self, seed, size, mlm_weight, nsp_weight):
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 4))
+    def test_adapt_loss_and_gradients_equal_dense(self, seed, size):
         masked, plans, nsp_labels, rng = masked_batch(seed, size)
         params = init_params(CONFIG, rng)
-        train_config = TrainConfig(mlm_weight=mlm_weight, nsp_weight=nsp_weight)
-        loss, grads = _adaptation_batch(masked, plans, nsp_labels, params, CONFIG, train_config)
-        dense_loss, dense_grads = dense_adaptation_reference(masked, plans, nsp_labels, params, CONFIG, train_config)
+        loss, grads = _adaptation_batch(masked, plans, nsp_labels, params, CONFIG)
+        dense_loss, dense_grads = dense_adaptation_reference(masked, plans, nsp_labels, params, CONFIG)
         assert_close(loss, dense_loss)
         assert grads.keys() == dense_grads.keys()
         for name in grads:
@@ -85,12 +79,11 @@ class TestAgainstDenseReference:
     def test_single_example_loss_equals_scalar_oracle(self, rng):
         masked, plans, nsp_labels, _ = masked_batch(int(rng.integers(2**32)), 1)
         params = init_params(CONFIG, rng)
-        train_config = TrainConfig(mlm_weight=0.7, nsp_weight=1.3)
-        loss, _ = _adaptation_batch(masked, plans, nsp_labels, params, CONFIG, train_config)
+        loss, _ = _adaptation_batch(masked, plans, nsp_labels, params, CONFIG)
         length = len(masked[0])
         every = (np.zeros(length, dtype=int), np.arange(length))
         _, logits, nsp_logits, _ = forward_batch(stack_inputs(masked), params, CONFIG, mlm_positions=every)
-        expected = adaptation_loss(logits, plans[0], nsp_logits[0], int(nsp_labels[0]), 0.7, 1.3)
+        expected = adaptation_loss(logits, plans[0], nsp_logits[0], int(nsp_labels[0]))
         assert_close(loss, expected)
 
     @settings(max_examples=15, deadline=None)

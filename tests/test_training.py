@@ -1,7 +1,6 @@
 import json
 import math
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -200,14 +199,6 @@ class TestLosses:
         loss = adaptation_loss(mlm_logits, plan, nsp_logits, 1)
         assert abs(loss - (math.log(V) + math.log(2))) < 1e-6
 
-    def test_weights_scale_terms(self):
-        from replyrank.training import MaskedPosition
-
-        V = len(VOCAB)
-        plan = [MaskedPosition(index=1, action="mask", original_id=9, replacement_id=MASK)]
-        loss = adaptation_loss(np.zeros((4, V)), plan, np.zeros(2), 1, mlm_weight=2.0, nsp_weight=0.5)
-        assert abs(loss - (2.0 * math.log(V) + 0.5 * math.log(2))) < 1e-6
-
     def test_empty_plan_rejected(self):
         with pytest.raises(ValueError):
             adaptation_loss(np.zeros((4, 10)), [], np.zeros(2), 1)
@@ -263,7 +254,7 @@ class TestTrain:
         rng = np.random.default_rng(5)
         self.instances = topic_instances(rng, 16)
         self.config = ModelConfig(vocab_size=len(self.vocab), hidden_dim=16, num_layers=1,
-                                  num_heads=2, ffn_dim=24, max_seq_len=32, num_speaker_roles=3)
+                                  num_heads=2, ffn_dim=24, max_seq_len=32)
 
     def test_seeded_runs_identical(self):
         logs = []
@@ -343,35 +334,18 @@ class TestTrain:
         assert len(result.validation_history) == 3
         assert result.validation_history[result.best_epoch] == max(result.validation_history)
 
-    def test_dropout_config_trains_and_replays(self):
-        from dataclasses import replace
-
-        config = replace(self.config, dropout_rate=0.2)
-        tc = TrainConfig(learning_rate=1e-3, batch_size=8, max_epochs=2, seed=0)
-        runs = {}
-        for name, model_config in (("a", config), ("b", config), ("plain", self.config)):
-            for phase in ("adapt", "finetune"):
-                params = init_params(self.config, np.random.default_rng(3))
-                runs[name, phase] = train(phase, self.instances, params, model_config, tc, self.vocab)
-        for phase in ("adapt", "finetune"):
-            a, b, plain = runs["a", phase], runs["b", phase], runs["plain", phase]
-            assert a.log == b.log
-            for name in a.params:
-                assert np.array_equal(a.params[name], b.params[name]), name
-            assert [e.loss for e in a.log] != [e.loss for e in plain.log]
-
 
 class TestAdaptationValidation:
     def test_chunked_loss_equals_one_batch(self):
         vocab = topic_vocab()
         instances = topic_instances(np.random.default_rng(2), 23)
         config = ModelConfig(vocab_size=len(vocab), hidden_dim=16, num_layers=2, num_heads=2,
-                             ffn_dim=24, max_seq_len=32, num_speaker_roles=3, dropout_rate=0.1)
+                             ffn_dim=24, max_seq_len=32)
         params = init_params(config, np.random.default_rng(4))
         draw = _corrupted_pairs(instances, [inst.response for inst in instances], vocab, 32, 0.15,
                                 np.random.default_rng(6))
-        tc = TrainConfig(batch_size=5, mlm_weight=0.7, nsp_weight=1.3)
-        whole, _ = _adaptation_batch(*draw, params, replace(config, dropout_rate=0.0), tc)
+        tc = TrainConfig(batch_size=5)
+        whole, _ = _adaptation_batch(*draw, params, config)
         chunked = _adaptation_validation_loss(*draw, params, config, tc)
         assert abs(chunked - whole) <= 1e-12
 
