@@ -15,7 +15,7 @@ import argparse
 import ctypes
 import hashlib
 import json
-import os
+import platform
 import resource
 import sys
 import time
@@ -24,6 +24,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .corpus import CandidatePool, CorpusError, DialogueExample, extract_spoken_to, load_channel, write_channel
 from .disentangle import DEFAULT_CONTEXT_CAP, cap_context, filter_channel
@@ -41,8 +42,6 @@ from .model import (
 )
 from .tokenizer import Vocabulary, VocabularyError, build_vocab
 from .training import TrainConfig, TrainingDiverged, train, write_loss_log
-
-CONFIG_DIR_ENV = "REPLYRANK_CONFIG_DIR"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,6 +117,41 @@ def _resources(started: _Start) -> dict:
     }
 
 
+def _environment() -> dict:
+    """Library versions, and the OpenBLAS build and thread count numpy computes with.
+
+    GEMM results can differ in the last bits between OpenBLAS kernels and
+    thread counts, so a replay needs them.  They are read through ctypes from
+    the ``libscipy_openblas64_`` bundled with numpy's wheels; each is null
+    where that library or function is missing.
+    """
+    openblas_config = openblas_threads = None
+    numpy_dir = Path(np.__file__).parent
+    bundled = sorted(numpy_dir.parent.glob("numpy.libs/libscipy_openblas64_*"))
+    bundled += sorted(numpy_dir.glob(".dylibs/libscipy_openblas64_*"))
+    try:
+        lib = ctypes.CDLL(str(bundled[0])) if bundled else None
+    except OSError:
+        lib = None
+    get_config = getattr(lib, "scipy_openblas_get_config64_", None)
+    if get_config is not None:
+        get_config.argtypes = []
+        get_config.restype = ctypes.c_char_p
+        openblas_config = get_config().decode()
+    get_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    if get_threads is not None:
+        get_threads.argtypes = []
+        get_threads.restype = ctypes.c_int
+        openblas_threads = get_threads()
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "openblas_config": openblas_config,
+        "openblas_threads": openblas_threads,
+    }
+
+
 def _write_manifest(command: str, args: argparse.Namespace, inputs: list, outputs: list, seed, started: _Start) -> None:
     outputs = [Path(p) for p in outputs if p]
     if not outputs:
@@ -131,27 +165,18 @@ def _write_manifest(command: str, args: argparse.Namespace, inputs: list, output
         "started": started.iso,
         "finished": _now(),
         "resources": _resources(started),
+        "environment": _environment(),
     }
     path = Path(str(outputs[0]) + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2, default=str) + "\n", encoding="utf-8")
 
 
-def _resolve_config(name: str) -> Path:
-    path = Path(name)
-    if path.exists():
-        return path
-    config_dir = os.environ.get(CONFIG_DIR_ENV)
-    if config_dir:
-        fallback = Path(config_dir) / name
-        if fallback.exists():
-            return fallback
-    raise UsageError("config file %r not found (set %s for a search directory)" % (name, CONFIG_DIR_ENV))
-
-
 def _load_config(name: str | None) -> dict:
     if name is None:
         return {}
-    path = _resolve_config(name)
+    path = Path(name)
+    if not path.exists():
+        raise UsageError("config file %s not found" % path)
     try:
         config = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -288,6 +313,10 @@ def cmd_disentangle(args) -> int:
     return EXIT_OK
 
 
+# The sizes a config's "model" section must agree on with a --checkpoint-in.
+_MODEL_SIZES = ("hidden_dim", "num_layers", "num_heads", "ffn_dim", "max_seq_len")
+
+
 def _prepare_training(args, phase: str):
     config = _load_config(args.config)
     train_section, phase_section, model_section = (
@@ -305,6 +334,12 @@ def _prepare_training(args, phase: str):
     except (TypeError, ValueError) as exc:
         raise UsageError("bad train config: %s" % exc) from exc
 
+    # the "model" section is checked even when a checkpoint supplies the model
+    try:
+        model_config = ModelConfig(**{"seed": seed, **model_section, "vocab_size": len(vocab)})
+    except (TypeError, ValueError) as exc:
+        raise UsageError("bad model config: %s" % exc) from exc
+
     checkpoint_in = getattr(args, "checkpoint_in", None)
     if getattr(args, "no_adaptation", False):
         checkpoint_in = None
@@ -315,12 +350,13 @@ def _prepare_training(args, phase: str):
                 "checkpoint vocab size %d does not match vocabulary %d"
                 % (model_config.vocab_size, len(vocab))
             )
+        for key in _MODEL_SIZES:
+            if key in model_section and model_section[key] != getattr(model_config, key):
+                raise UsageError(
+                    "config sets model %s %d but checkpoint %s has %d"
+                    % (key, model_section[key], checkpoint_in, getattr(model_config, key))
+                )
     else:
-        model_kwargs = {"seed": seed, **model_section, "vocab_size": len(vocab)}
-        try:
-            model_config = ModelConfig(**model_kwargs)
-        except (TypeError, ValueError) as exc:
-            raise UsageError("bad model config: %s" % exc) from exc
         params = init_params(model_config, np.random.default_rng(seed))
     return vocab, model_config, train_config, params, seed
 

@@ -4,10 +4,13 @@ The encoder follows the original post-layernorm convention (residual, then
 layernorm, GELU feed-forward) and carries three output heads: vocabulary
 logits at the positions a caller asks for (the masked positions during
 adaptation, none otherwise), a two-way next-utterance head and a scalar
-matching head, the latter two read from the final [CLS] position.  Forward
-retains a trace so ``backward`` can produce exact analytic gradients for
-every parameter tensor; everything runs in double precision for
-reproducibility.
+matching head, the latter two read from the final [CLS] position.  Since
+nothing reads the other positions of the last layer, that layer computes its
+queries, attention output, layernorms and feed-forward only at the read
+columns, [CLS] plus the requested positions, while keys and values still come
+from every position.  Forward retains a trace so ``backward`` can produce
+exact analytic gradients for every parameter tensor; everything runs in
+double precision for reproducibility.
 """
 
 from __future__ import annotations
@@ -188,7 +191,16 @@ def _check_ids(batch: Batch, config: ModelConfig) -> None:
 
 @dataclass
 class LayerTrace:
+    """One encoder layer's retained activations.
+
+    ``query_cols`` is None when the layer computed every row.  Otherwise it
+    holds the (B, R) batch columns whose rows were computed, and every array
+    except ``x_in``, ``k`` and ``v`` covers only those R rows: ``q`` is
+    (B, H, R, d), ``attn`` (B, H, R, L), the rest (B, R, ·).
+    """
+
     x_in: np.ndarray
+    query_cols: np.ndarray | None
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
@@ -198,20 +210,26 @@ class LayerTrace:
     ln_attn_inv_std: np.ndarray
     x_mid: np.ndarray
     z1: np.ndarray
-    hidden_act: np.ndarray
+    cdf: np.ndarray
     ln_ffn_xhat: np.ndarray
     ln_ffn_inv_std: np.ndarray
 
 
 @dataclass
 class ForwardTrace:
-    """Intermediate activations retained for the backward pass and inspection."""
+    """Intermediate activations retained for the backward pass and inspection.
+
+    The last layer computes only its (B, R) read columns
+    (``layers[-1].query_cols``), so ``final_hidden`` is (B, R, hidden): slot 0
+    of every row is [CLS], and requested pair p sits at
+    ``final_hidden[mlm_rows[p], mlm_slots[p]]``.
+    """
 
     config: ModelConfig
     batch: Batch
     embeddings: np.ndarray
     mlm_rows: np.ndarray
-    mlm_cols: np.ndarray
+    mlm_slots: np.ndarray
     layers: list[LayerTrace] = field(default_factory=list)
     final_hidden: np.ndarray | None = None
 
@@ -229,6 +247,26 @@ def embed_batch(batch: Batch, params: dict[str, np.ndarray], config: ModelConfig
         + params["position_table"][:width]
         + params["speaker_table"][batch.speaker_ids]
     )
+
+
+def _read_columns(rows: np.ndarray, cols: np.ndarray, batch_size: int, width: int):
+    """The (B, R) columns the heads read, and each requested pair's slot among its row's.
+
+    Row b reads column 0 ([CLS]) and the positions requested for it, each once
+    and in ascending order; a row with fewer than R read columns is padded by
+    repeating column 0.
+    """
+    # a pair outside the batch would alias another row's column in the keys below
+    if rows.size and (rows.min() < 0 or rows.max() >= batch_size or cols.min() < 0 or cols.max() >= width):
+        raise ValueError("mlm_positions out of range for a batch of %d rows and %d columns" % (batch_size, width))
+    requested = rows * width + cols
+    keys = np.unique(np.concatenate([np.arange(batch_size) * width, requested]))
+    key_rows = keys // width
+    counts = np.bincount(key_rows, minlength=batch_size)
+    key_slots = np.arange(len(keys)) - (np.cumsum(counts) - counts)[key_rows]
+    read = np.zeros((batch_size, counts.max()), dtype=np.int64)
+    read[key_rows, key_slots] = keys % width
+    return read, key_slots[np.searchsorted(keys, requested)]
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
@@ -255,12 +293,14 @@ def _layer_norm_backward(dy: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
-
-
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
+def _gelu(x: np.ndarray):
+    """GELU and the normal CDF that scales ``x`` in it: ``(x * cdf, cdf)``."""
     cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    return x * cdf, cdf
+
+
+def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """GELU's derivative at ``x``, given the ``cdf`` that ``_gelu`` returned for it."""
     return cdf + x * np.exp(-0.5 * x * x) / _SQRT_2PI
 
 
@@ -288,6 +328,13 @@ def forward_batch(
     as (M, vocab) in the order of the pairs, and as (0, vocab) when none are
     requested, so no (B, L, vocab) array is ever built.
 
+    Layers before the last run at every position.  The last layer takes keys
+    and values from all L positions but computes everything else only at the
+    R read columns of each row, [CLS] plus its requested positions (see
+    ``_read_columns``): R is 1 when nothing is requested, and L when every
+    position is.  Its attention weights are (B, H, R, L), and the trace's
+    ``final_hidden`` is (B, R, hidden).
+
     The batch is as wide as ``stack_inputs`` made it, at most
     ``max_seq_len``; column j takes position embedding j, and the batch's
     attention mask is the only record of padding.  Padded key positions
@@ -299,13 +346,17 @@ def forward_batch(
     x = embed_batch(batch, params, config)
     if not np.isfinite(x).all():
         raise NumericError("non-finite values in the embedding sum")
-    trace = ForwardTrace(config=config, batch=batch, embeddings=x, mlm_rows=rows, mlm_cols=cols)
+    b, width, _ = x.shape
+    read, slots = _read_columns(rows, cols, b, width)
+    trace = ForwardTrace(config=config, batch=batch, embeddings=x, mlm_rows=rows, mlm_slots=slots)
 
     pad_keys = batch.attention_mask[:, None, None, :] == 0
     scale = 1.0 / np.sqrt(config.hidden_dim // config.num_heads)
     for i in range(config.num_layers):
         prefix = "layer%d." % i
-        q = _split_heads(x @ params[prefix + "attn.wq"] + params[prefix + "attn.bq"], config.num_heads)
+        query_cols = read if i == config.num_layers - 1 else None
+        x_q = x if query_cols is None else x[np.arange(b)[:, None], query_cols]
+        q = _split_heads(x_q @ params[prefix + "attn.wq"] + params[prefix + "attn.bq"], config.num_heads)
         k = _split_heads(x @ params[prefix + "attn.wk"] + params[prefix + "attn.bk"], config.num_heads)
         v = _split_heads(x @ params[prefix + "attn.wv"] + params[prefix + "attn.bv"], config.num_heads)
         # softmax in place: every fresh (B, H, L, L) array would be paged in anew
@@ -318,10 +369,10 @@ def forward_batch(
         merged = _merge_heads(attn @ v)
         attn_out = merged @ params[prefix + "attn.wo"] + params[prefix + "attn.bo"]
         x_mid, xhat1, inv_std1 = _layer_norm(
-            x + attn_out, params[prefix + "ln_attn.gain"], params[prefix + "ln_attn.bias"]
+            x_q + attn_out, params[prefix + "ln_attn.gain"], params[prefix + "ln_attn.bias"]
         )
         z1 = x_mid @ params[prefix + "ffn.w1"] + params[prefix + "ffn.b1"]
-        hidden_act = _gelu(z1)
+        hidden_act, cdf = _gelu(z1)
         ffn_out = hidden_act @ params[prefix + "ffn.w2"] + params[prefix + "ffn.b2"]
         x_out, xhat2, inv_std2 = _layer_norm(
             x_mid + ffn_out, params[prefix + "ln_ffn.gain"], params[prefix + "ln_ffn.bias"]
@@ -330,16 +381,16 @@ def forward_batch(
             raise NumericError("non-finite activations after encoder layer %d" % i)
         trace.layers.append(
             LayerTrace(
-                x_in=x, q=q, k=k, v=v, attn=attn, merged=merged,
+                x_in=x, query_cols=query_cols, q=q, k=k, v=v, attn=attn, merged=merged,
                 ln_attn_xhat=xhat1, ln_attn_inv_std=inv_std1, x_mid=x_mid,
-                z1=z1, hidden_act=hidden_act,
+                z1=z1, cdf=cdf,
                 ln_ffn_xhat=xhat2, ln_ffn_inv_std=inv_std2,
             )
         )
         x = x_out
 
     trace.final_hidden = x
-    mlm_logits = x[rows, cols] @ params["mlm_head.w"] + params["mlm_head.b"]
+    mlm_logits = x[rows, slots] @ params["mlm_head.w"] + params["mlm_head.b"]
     cls = x[:, 0, :]
     nsp_logits = cls @ params["nsp_head.w"] + params["nsp_head.b"]
     match_logits = (cls @ params["match_head.w"])[:, 0] + params["match_head.b"][0]
@@ -367,8 +418,12 @@ def backward(
     ``d_match`` is (B,) and ``d_nsp`` (B, 2); either may be zeros when its
     head does not take part in the loss.  ``d_mlm`` is (M, vocab), one row
     per (row, position) pair the forward pass computed vocabulary logits
-    for, and is scattered back to those positions; it is (0, vocab) when the
-    forward requested none.
+    for, and is scattered back to those pairs' read slots; it is
+    (0, vocab) when the forward requested none.
+
+    The last layer is differentiated on its (B, R, ·) read rows; its key and
+    value gradients cover every position, and its residual and query
+    gradients are scattered back into the (B, L, hidden) input gradient.
     """
     config = trace.config
     validate_params(config, params)
@@ -378,15 +433,15 @@ def backward(
     b, _, h = final.shape
     d_match = np.asarray(d_match, dtype=float).reshape(b)
     d_nsp = np.asarray(d_nsp, dtype=float).reshape(b, 2)
-    rows, cols = trace.mlm_rows, trace.mlm_cols
+    rows, slots = trace.mlm_rows, trace.mlm_slots
     d_mlm = np.asarray(d_mlm, dtype=float).reshape(len(rows), config.vocab_size)
 
     grads = {name: np.zeros_like(tensor) for name, tensor in params.items()}
 
-    grads["mlm_head.w"] += final[rows, cols].T @ d_mlm
+    grads["mlm_head.w"] += final[rows, slots].T @ d_mlm
     grads["mlm_head.b"] += d_mlm.sum(axis=0)
     dx = np.zeros_like(final)
-    np.add.at(dx, (rows, cols), d_mlm @ params["mlm_head.w"].T)
+    np.add.at(dx, (rows, slots), d_mlm @ params["mlm_head.w"].T)
 
     cls = final[:, 0, :]
     grads["nsp_head.w"] += cls.T @ d_nsp
@@ -405,9 +460,10 @@ def backward(
         )
         grads[prefix + "ln_ffn.gain"] += dgain2
         grads[prefix + "ln_ffn.bias"] += dbias2
-        grads[prefix + "ffn.w2"] += lt.hidden_act.reshape(-1, config.ffn_dim).T @ dsum2.reshape(-1, h)
+        hidden_act = lt.z1 * lt.cdf
+        grads[prefix + "ffn.w2"] += hidden_act.reshape(-1, config.ffn_dim).T @ dsum2.reshape(-1, h)
         grads[prefix + "ffn.b2"] += dsum2.sum(axis=(0, 1))
-        dz1 = (dsum2 @ params[prefix + "ffn.w2"].T) * _gelu_grad(lt.z1)
+        dz1 = (dsum2 @ params[prefix + "ffn.w2"].T) * _gelu_grad(lt.z1, lt.cdf)
         grads[prefix + "ffn.w1"] += lt.x_mid.reshape(-1, h).T @ dz1.reshape(-1, config.ffn_dim)
         grads[prefix + "ffn.b1"] += dz1.sum(axis=(0, 1))
         dx_mid = dsum2 + dz1 @ params[prefix + "ffn.w1"].T
@@ -431,9 +487,20 @@ def backward(
         dq = (dscores @ lt.k) * scale
         dk = (dscores.swapaxes(-1, -2) @ lt.q) * scale
 
-        dx = dsum1
+        query_rows = (np.arange(b)[:, None], lt.query_cols)
+        x_q = lt.x_in if lt.query_cols is None else lt.x_in[query_rows]
+        dq_mat = _merge_heads(dq)
+        grads[prefix + "attn.wq"] += x_q.reshape(-1, h).T @ dq_mat.reshape(-1, h)
+        grads[prefix + "attn.bq"] += dq_mat.sum(axis=(0, 1))
+        dx_q = dsum1 + dq_mat @ params[prefix + "attn.wq"].T
+        if lt.query_cols is None:
+            dx = dx_q
+        else:
+            # padded slots repeat column 0: a fancy-index += would keep only one of the duplicates
+            dx = np.zeros_like(lt.x_in)
+            np.add.at(dx, query_rows, dx_q)
         x_flat = lt.x_in.reshape(-1, h)
-        for name, dhead in (("q", dq), ("k", dk), ("v", dv)):
+        for name, dhead in (("k", dk), ("v", dv)):
             dmat = _merge_heads(dhead)
             grads[prefix + "attn.w" + name] += x_flat.T @ dmat.reshape(-1, h)
             grads[prefix + "attn.b" + name] += dmat.sum(axis=(0, 1))

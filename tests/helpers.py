@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import erf
 
 from replyrank.corpus import Utterance
 from replyrank.encoding import NUM_SPEAKER_ROLES, EncodedInput, MatchingInstance, build_input
@@ -82,6 +83,23 @@ def reference_attention(q: np.ndarray, k: np.ndarray, attention_mask: np.ndarray
     scores -= scores.max(axis=-1, keepdims=True)
     weights = np.exp(scores)
     return weights / weights.sum(axis=-1, keepdims=True)
+
+
+def reference_gelu(x: np.ndarray) -> np.ndarray:
+    """GELU as one expression: the oracle for ``model._gelu``."""
+    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+def reference_gelu_grad(x: np.ndarray) -> np.ndarray:
+    """GELU's derivative with its own erf: the oracle for ``model._gelu_grad``."""
+    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    return cdf + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+
+
+def every_position(batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) pairs for every slot of ``batch``, row by row: requesting them gives R = L."""
+    b, l = batch.token_ids.shape
+    return np.divmod(np.arange(b * l), l)
 
 
 def tiny_model_config(vocab_size, **overrides) -> ModelConfig:
@@ -164,15 +182,16 @@ def dense_adaptation_reference(encoded, plans, nsp_labels, params, config):
     final hidden states at every position, with a zero gradient row wherever
     nothing is masked; the loss picks the masked rows out of the dense array.
     The encoder gradients come from ``backward`` with every position
-    requested, so its scatter is checked by the finite-difference tests, not
-    by this reference.
+    requested (R = L, so the last layer computes every row), so its scatter
+    is checked by the finite-difference tests, not by this reference.
     """
     from scipy.special import logsumexp
 
     batch = stack_inputs(encoded)
     b, l = batch.token_ids.shape
-    every = np.divmod(np.arange(b * l), l)
-    _, _, nsp_logits, trace = forward_batch(batch, params, config, mlm_positions=every)
+    _, _, nsp_logits, trace = forward_batch(batch, params, config, mlm_positions=every_position(batch))
+    # every position is requested, so every row reads all L columns in order: slot j is column j
+    assert np.array_equal(trace.layers[-1].query_cols, np.broadcast_to(np.arange(l), (b, l)))
     final = trace.final_hidden
     logits = final @ params["mlm_head.w"] + params["mlm_head.b"]
 

@@ -333,17 +333,42 @@ class TestTrainingCommands:
         assert code == 2
         assert err == "data error: %s has fewer than 2 label-1 examples to adapt on\n" % data
 
-    def test_config_dir_env_resolution(self, workdir, monkeypatch):
-        configs = workdir / "cfgdir"
-        configs.mkdir()
-        (configs / "mini.json").write_text((workdir / "config.json").read_text())
-        monkeypatch.setenv("REPLYRANK_CONFIG_DIR", str(configs))
+    def test_missing_config_file_is_usage_error(self, workdir, capsys, monkeypatch):
+        # a bare name is looked up only relative to the working directory
+        (workdir / "configs").mkdir()
+        (workdir / "configs" / "mini.json").write_text((workdir / "config.json").read_text())
         monkeypatch.chdir(workdir)
         vocab = self._vocab(workdir)
-        out = workdir / "env.npz"
+        out = workdir / "model.npz"
+        capsys.readouterr()
         assert run("finetune", "--data", workdir / "train.tsv", "--vocab", vocab,
-                   "--config", "mini.json", "--checkpoint-out", out, "--seed", "0") == 0
-        assert out.exists()
+                   "--config", "mini.json", "--checkpoint-out", out) == 1
+        assert capsys.readouterr().err == "usage error: config file mini.json not found\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ({"num_speaker_roles": 3, "hidden_dim": 999}, "bad model config"),
+            ({"dropout_rate": 0.0}, "bad model config"),
+            ({"num_layers": True}, "bad model config"),
+            ({"hidden_dim": 32}, "config sets model hidden_dim 32 but checkpoint"),
+            ({**MINI_CONFIG["model"], "max_seq_len": 64}, "config sets model max_seq_len 64 but checkpoint"),
+        ],
+        ids=["retired-key-and-size", "dropout-rate", "bool-size", "hidden-dim-differs", "max-seq-len-differs"],
+    )
+    def test_model_section_checked_against_checkpoint_in(self, workdir, capsys, model, message):
+        vocab = self._vocab(workdir)
+        adapted = workdir / "adapted.npz"
+        assert run("adapt", "--data", workdir / "train.tsv", "--vocab", vocab,
+                   "--config", workdir / "config.json", "--checkpoint-out", adapted, "--seed", "0") == 0
+        (workdir / "config.json").write_text(json.dumps({**MINI_CONFIG, "model": model}))
+        code, err = self._rejected_before_training(
+            workdir, capsys, "finetune", workdir / "train.tsv", "--checkpoint-in", adapted
+        )
+        assert code == 1
+        assert err.startswith("usage error: " + message)
+        assert len(err.strip().splitlines()) == 1
 
     def test_manifest_records_inputs_and_seed(self, workdir):
         vocab = self._vocab(workdir)
@@ -374,6 +399,19 @@ class TestTrainingCommands:
         assert isinstance(resources["peak_rss_mb"], float) and resources["peak_rss_mb"] > 0
         assert isinstance(resources["minor_faults"], int) and resources["minor_faults"] >= 0
         assert (workdir / "a.csv").read_text().splitlines()[0] == "step,phase,loss,lr"
+
+    def test_manifest_records_environment(self, workdir):
+        vocab = self._vocab(workdir)
+        out = workdir / "a.npz"
+        assert run("adapt", "--data", workdir / "train.tsv", "--vocab", vocab,
+                   "--config", workdir / "config.json", "--checkpoint-out", out, "--seed", "1") == 0
+        environment = json.loads((workdir / "a.npz.manifest.json").read_text())["environment"]
+        assert set(environment) == {"python", "numpy", "scipy", "openblas_config", "openblas_threads"}
+        assert environment["numpy"] == np.__version__
+        assert all(isinstance(environment[key], str) and environment[key] for key in ("python", "numpy", "scipy"))
+        assert environment["openblas_config"] is None or environment["openblas_config"].startswith("OpenBLAS")
+        threads = environment["openblas_threads"]
+        assert threads is None or (isinstance(threads, int) and threads >= 1)
 
 
 class TestShippedConfigs:

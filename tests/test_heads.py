@@ -1,8 +1,10 @@
-"""Each phase computes only the heads it reads.
+"""Each phase computes only the heads it reads, and the last layer only the rows they read.
 
 Adaptation gets vocabulary logits at its masked positions only; finetuning
 and scoring get none.  The gathered path must match a dense (B, L, vocab)
-reference, and no phase may allocate an array of that shape.
+reference, and no phase may allocate an array of that shape.  The last
+encoder layer computes [CLS] and the requested positions only; every phase
+must match the path that requests every position, where it computes all L.
 """
 
 import json
@@ -15,13 +17,14 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from replyrank.encoding import EncodedInput
-from replyrank.model import ModelConfig, forward_batch, init_params, stack_inputs
+from replyrank.model import ModelConfig, backward, forward_batch, init_params, score_batch, stack_inputs
 from replyrank.tokenizer import CLS, NUM_SPECIALS, SEP
 from replyrank.training import _adaptation_batch, _finetune_batch, apply_masking, plan_masking
 from helpers import (
     VOCAB,
     adaptation_loss,
     dense_adaptation_reference,
+    every_position,
     finetune_loss,
     random_encoded,
     tiny_model_config,
@@ -57,7 +60,11 @@ class TestRequestedPositions:
         batch = stack_inputs([random_encoded(rng) for _ in range(3)])
         rows, cols = np.array([2, 0, 2, 1]), np.array([1, 3, 1, 0])
         _, mlm_logits, _, trace = forward_batch(batch, params, CONFIG, mlm_positions=(rows, cols))
-        expected = trace.final_hidden[rows, cols] @ params["mlm_head.w"] + params["mlm_head.b"]
+        # [CLS] first, each requested column once, short rows padded with column 0
+        read = trace.layers[-1].query_cols
+        assert read.tolist() == [[0, 3], [0, 0], [0, 1]]
+        slots = [read[row].tolist().index(col) for row, col in zip(rows, cols)]
+        expected = trace.final_hidden[rows, slots] @ params["mlm_head.w"] + params["mlm_head.b"]
         assert mlm_logits.shape == (4, CONFIG.vocab_size)
         assert_close(mlm_logits, expected)
         assert_close(mlm_logits[0], mlm_logits[2])
@@ -99,6 +106,53 @@ class TestAgainstDenseReference:
         match_logits, _, _, _ = forward_batch(stack_inputs(inputs), params, CONFIG)
         expected = np.mean([finetune_loss(expit(m), y) for m, y in zip(match_logits, labels)])
         assert abs(loss - expected) < 1e-9
+
+
+def every_position_finetune(inputs, labels, params):
+    """Match logits, finetune loss and gradients with every position requested (R = L)."""
+    batch = stack_inputs(inputs)
+    match_logits, mlm_logits, _, trace = forward_batch(batch, params, CONFIG, mlm_positions=every_position(batch))
+    loss = np.mean(np.logaddexp(0.0, match_logits) - labels * match_logits)
+    d_match = (expit(match_logits) - labels) / len(labels)
+    grads = backward(trace, params, d_match, np.zeros((len(labels), 2)), np.zeros_like(mlm_logits))
+    return match_logits, loss, grads
+
+
+class TestReadRows:
+    # Adaptation's read rows are held to the every-position path by
+    # test_adapt_loss_and_gradients_equal_dense, whose reference requests every position.
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 5))
+    def test_score_and_finetune_equal_every_position_path(self, seed, size):
+        rng = np.random.default_rng(seed)
+        inputs = [random_encoded(rng) for _ in range(size)]
+        params = init_params(CONFIG, rng)
+        labels = rng.integers(0, 2, size=size).astype(float)
+        match_logits, every_loss, every_grads = every_position_finetune(inputs, labels, params)
+
+        assert_close(score_batch(stack_inputs(inputs), params, CONFIG), expit(match_logits))
+        loss, grads = _finetune_batch(inputs, labels, params, CONFIG)
+        assert_close(loss, every_loss)
+        assert grads.keys() == every_grads.keys()
+        for name in grads:
+            assert_close(grads[name], every_grads[name])
+
+    def test_last_layer_keeps_attention_at_read_rows_only(self, rng):
+        params = init_params(CONFIG, rng)
+        masked, plans, _, _ = masked_batch(int(rng.integers(2**32)), 4)
+        batch = stack_inputs(masked)
+        b, l = batch.token_ids.shape
+        heads = CONFIG.num_heads
+        _, _, _, trace = forward_batch(batch, params, CONFIG)
+        assert [attn.shape for attn in trace.attention_weights] == [(b, heads, l, l), (b, heads, 1, l)]
+        assert trace.final_hidden.shape == (b, 1, CONFIG.hidden_dim)
+
+        rows = np.repeat(np.arange(b), [len(plan) for plan in plans])
+        cols = np.array([pos.index for plan in plans for pos in plan])
+        _, _, _, trace = forward_batch(batch, params, CONFIG, mlm_positions=(rows, cols))
+        reads = 1 + max(len(plan) for plan in plans)  # masked positions are never [CLS] and never repeat
+        assert [attn.shape for attn in trace.attention_weights] == [(b, heads, l, l), (b, heads, reads, l)]
+        assert trace.final_hidden.shape == (b, reads, CONFIG.hidden_dim)
 
 
 def full_length_input(rng, length, vocab_size):

@@ -6,6 +6,8 @@ import pytest
 from replyrank.encoding import EncodedInput
 from replyrank.model import (
     ModelConfig,
+    _gelu,
+    _gelu_grad,
     NumericError,
     backward,
     forward_batch,
@@ -26,6 +28,8 @@ from helpers import (
     max_relative_error,
     random_encoded,
     reference_attention,
+    reference_gelu,
+    reference_gelu_grad,
     tiny_model_config,
     widen,
 )
@@ -177,6 +181,14 @@ class TestForward:
         params["layer1.ffn.w2"][:] = 1e308
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="layer 1"):
             forward(simple_input(), params, config)
+
+
+class TestGelu:
+    def test_activation_and_gradient_equal_reference_bitwise(self, rng):
+        x = np.concatenate([rng.normal(0.0, 3.0, size=20_000), [-40.0, -8.0, -1e-3, 0.0, 1e-3, 8.0, 40.0]])
+        activation, cdf = _gelu(x)
+        assert np.array_equal(activation, reference_gelu(x))
+        assert np.array_equal(_gelu_grad(x, cdf), reference_gelu_grad(x))
 
 
 class TestScore:
