@@ -336,7 +336,7 @@ def _prepare_training(args, phase: str):
 
     # the "model" section is checked even when a checkpoint supplies the model
     try:
-        model_config = ModelConfig(**{"seed": seed, **model_section, "vocab_size": len(vocab)})
+        model_config = ModelConfig(**{**model_section, "vocab_size": len(vocab)})
     except (TypeError, ValueError) as exc:
         raise UsageError("bad model config: %s" % exc) from exc
 

@@ -4,13 +4,19 @@ The encoder follows the original post-layernorm convention (residual, then
 layernorm, GELU feed-forward) and carries three output heads: vocabulary
 logits at the positions a caller asks for (the masked positions during
 adaptation, none otherwise), a two-way next-utterance head and a scalar
-matching head, the latter two read from the final [CLS] position.  Since
-nothing reads the other positions of the last layer, that layer computes its
+matching head, the latter two read from the final [CLS] position.
+Everything runs in double precision for reproducibility.
+
+Each sublayer is a pair of module functions: a forward that returns its
+output and the ``LayerTrace`` fields it retains, and a ``*_backward`` that
+turns those into exact gradients.  The pairs are ``_embed``, ``_attention``
+and ``_ffn`` (each of the last two ends in its residual and layernorm) and
+``_heads``; ``forward_batch`` and ``backward`` are loops over them.  Since
+nothing reads the other positions of the last layer, that layer computes
 queries, attention output, layernorms and feed-forward only at the read
-columns, [CLS] plus the requested positions, while keys and values still come
-from every position.  Forward retains a trace so ``backward`` can produce
-exact analytic gradients for every parameter tensor; everything runs in
-double precision for reproducibility.
+columns, [CLS] plus the requested positions, while keys and values still
+come from every position.  Only ``_attention`` (which gathers those rows)
+and ``_attention_backward`` (which scatters their gradient back) handle them.
 """
 
 from __future__ import annotations
@@ -29,7 +35,10 @@ from .tokenizer import PAD
 
 LN_EPS = 1e-6
 INIT_STD = 0.02
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
+
+# parameter (or gradient) tensors by name, in ``param_shapes`` order
+Params = dict[str, np.ndarray]
 
 
 class NumericError(Exception):
@@ -53,14 +62,11 @@ class ModelConfig:
     num_heads: int = 4
     ffn_dim: int = 128
     max_seq_len: int = 128
-    seed: int = 0
 
     def __post_init__(self) -> None:
         sizes = (self.vocab_size, self.hidden_dim, self.num_layers, self.num_heads, self.ffn_dim, self.max_seq_len)
         if not all(_is_int(n) and n >= 1 for n in sizes):
             raise ValueError("vocab_size and the model dimensions must be positive integers")
-        if not _is_int(self.seed):
-            raise ValueError("seed must be an integer")
         if self.hidden_dim % self.num_heads != 0:
             raise ValueError(
                 "hidden_dim %d not divisible by num_heads %d" % (self.hidden_dim, self.num_heads)
@@ -100,15 +106,13 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(config: ModelConfig, rng: np.random.Generator | None = None) -> dict[str, np.ndarray]:
-    """Normal(0, 0.02) weights, zero biases, unit layernorm gains.
+def init_params(config: ModelConfig, rng: np.random.Generator) -> Params:
+    """Normal(0, 0.02) weights drawn from ``rng``, zero biases, unit layernorm gains.
 
     Speaker row 0 starts at zero: it is the neutral embedding for structural
     tokens and padding.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    params: dict[str, np.ndarray] = {}
+    params: Params = {}
     for name, shape in param_shapes(config).items():
         if name.endswith(".gain"):
             params[name] = np.ones(shape)
@@ -120,7 +124,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator | None = None) -> 
     return params
 
 
-def validate_params(config: ModelConfig, params: dict[str, np.ndarray]) -> None:
+def validate_params(config: ModelConfig, params: Params) -> None:
     shapes = param_shapes(config)
     missing = set(shapes) - set(params)
     extra = set(params) - set(shapes)
@@ -186,7 +190,7 @@ def _check_ids(batch: Batch, config: ModelConfig) -> None:
             )
 
 
-# --- forward ----------------------------------------------------------------
+# --- traces and sublayers ---------------------------------------------------
 
 
 @dataclass
@@ -238,15 +242,27 @@ class ForwardTrace:
         return [layer.attn for layer in self.layers]
 
 
-def embed_batch(batch: Batch, params: dict[str, np.ndarray], config: ModelConfig) -> np.ndarray:
+def _embed(batch: Batch, params: Params, config: ModelConfig) -> np.ndarray:
+    """The (B, L, hidden) sum of the token, segment, position and speaker embeddings."""
     _check_ids(batch, config)
     width = batch.token_ids.shape[1]
-    return (
+    x = (
         params["token_table"][batch.token_ids]
         + params["segment_table"][batch.segment_ids]
         + params["position_table"][:width]
         + params["speaker_table"][batch.speaker_ids]
     )
+    if not np.isfinite(x).all():
+        raise NumericError("non-finite values in the embedding sum")
+    return x
+
+
+def _embed_backward(dx: np.ndarray, batch: Batch, grads: Params) -> None:
+    flat_dx = dx.reshape(-1, dx.shape[-1])
+    np.add.at(grads["token_table"], batch.token_ids.ravel(), flat_dx)
+    np.add.at(grads["segment_table"], batch.segment_ids.ravel(), flat_dx)
+    grads["position_table"][: dx.shape[1]] += dx.sum(axis=0)
+    np.add.at(grads["speaker_table"], batch.speaker_ids.ravel(), flat_dx)
 
 
 def _read_columns(rows: np.ndarray, cols: np.ndarray, batch_size: int, width: int):
@@ -269,28 +285,37 @@ def _read_columns(rows: np.ndarray, cols: np.ndarray, batch_size: int, width: in
     return read, key_slots[np.searchsorted(keys, requested)]
 
 
-def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+def _linear_backward(dy: np.ndarray, x: np.ndarray, params: Params, grads: Params, at: str, s: str) -> np.ndarray:
+    """Add the gradients of ``x @ W + b`` to ``grads``, where W is ``at + "w" + s`` and b ``at + "b" + s``.
+
+    Returns the input's gradient, ``dy @ W.T``.
+    """
+    grads[at + "w" + s] += x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+    grads[at + "b" + s] += dy.sum(axis=tuple(range(dy.ndim - 1)))
+    return dy @ params[at + "w" + s].T
+
+
+def _layer_norm(x: np.ndarray, params: Params, name: str):
+    """Layernorm ``name`` of ``x``: ``(output, xhat, inv_std)``."""
     mean = x.mean(axis=-1, keepdims=True)
     centered = x - mean
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat = centered * inv_std
-    return gain * xhat + bias, xhat, inv_std
+    return params[name + ".gain"] * xhat + params[name + ".bias"], xhat, inv_std
 
 
-def _layer_norm_backward(dy: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, gain: np.ndarray):
-    dgain = (dy * xhat).sum(axis=(0, 1))
-    dbias = dy.sum(axis=(0, 1))
-    dxhat = dy * gain
-    dx = inv_std * (
+def _layer_norm_backward(dy: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, params: Params, grads: Params,
+                         name: str) -> np.ndarray:
+    """Add the gain and bias gradients of layernorm ``name`` to ``grads``; return the input's."""
+    grads[name + ".gain"] += (dy * xhat).sum(axis=(0, 1))
+    grads[name + ".bias"] += dy.sum(axis=(0, 1))
+    dxhat = dy * params[name + ".gain"]
+    return inv_std * (
         dxhat
         - dxhat.mean(axis=-1, keepdims=True)
         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
     )
-    return dx, dgain, dbias
-
-
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
 def _gelu(x: np.ndarray):
@@ -301,7 +326,7 @@ def _gelu(x: np.ndarray):
 
 def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     """GELU's derivative at ``x``, given the ``cdf`` that ``_gelu`` returned for it."""
-    return cdf + x * np.exp(-0.5 * x * x) / _SQRT_2PI
+    return cdf + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
 
 
 def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
@@ -314,9 +339,109 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, l, nh * dh)
 
 
+def _attention(x: np.ndarray, query_cols: np.ndarray | None, mask: np.ndarray, params: Params, prefix: str,
+               num_heads: int):
+    """Self-attention, residual and layernorm: ``(x_mid, LayerTrace fields)``.
+
+    Keys and values come from every row; given (B, R) ``query_cols``, the rest
+    is computed only at those rows, and ``x_mid`` is (B, R, hidden).
+    """
+    p = prefix + "attn."
+    x_q = x if query_cols is None else x[np.arange(len(x))[:, None], query_cols]
+    q = _split_heads(x_q @ params[p + "wq"] + params[p + "bq"], num_heads)
+    k = _split_heads(x @ params[p + "wk"] + params[p + "bk"], num_heads)
+    v = _split_heads(x @ params[p + "wv"] + params[p + "bv"], num_heads)
+    # softmax in place: every fresh (B, H, L, L) array would be paged in anew
+    attn = q @ k.swapaxes(-1, -2)
+    attn *= 1.0 / np.sqrt(q.shape[-1])
+    np.copyto(attn, -np.inf, where=mask[:, None, None, :] == 0)
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    merged = _merge_heads(attn @ v)
+    attn_out = merged @ params[p + "wo"] + params[p + "bo"]
+    x_mid, xhat, inv_std = _layer_norm(x_q + attn_out, params, prefix + "ln_attn")
+    return x_mid, dict(x_in=x, query_cols=query_cols, q=q, k=k, v=v, attn=attn, merged=merged,
+                       ln_attn_xhat=xhat, ln_attn_inv_std=inv_std)
+
+
+def _attention_backward(dx_mid: np.ndarray, lt: LayerTrace, params: Params, grads: Params, prefix: str) -> np.ndarray:
+    """Gradient of ``_attention`` at ``lt.x_in``, (B, L, hidden) even when only query rows were computed."""
+    p = prefix + "attn."
+    dsum = _layer_norm_backward(dx_mid, lt.ln_attn_xhat, lt.ln_attn_inv_std, params, grads, prefix + "ln_attn")
+    dctx = _split_heads(_linear_backward(dsum, lt.merged, params, grads, p, "o"), lt.q.shape[1])
+    dattn = dctx @ lt.v.swapaxes(-1, -2)
+    dv = lt.attn.swapaxes(-1, -2) @ dctx
+    # softmax backward, in dattn's buffer; masked keys carry attn == 0, so their scores get 0
+    dscores = dattn
+    dscores -= (dattn * lt.attn).sum(axis=-1, keepdims=True)
+    dscores *= lt.attn
+    scale = 1.0 / np.sqrt(lt.q.shape[-1])
+    dq = (dscores @ lt.k) * scale
+    dk = (dscores.swapaxes(-1, -2) @ lt.q) * scale
+    query_rows = (np.arange(len(lt.x_in))[:, None], lt.query_cols)
+    x_q = lt.x_in if lt.query_cols is None else lt.x_in[query_rows]
+    dx_q = dsum + _linear_backward(_merge_heads(dq), x_q, params, grads, p, "q")
+    if lt.query_cols is None:
+        dx = dx_q
+    else:
+        # padded slots repeat column 0: a fancy-index += would keep only one of the duplicates
+        dx = np.zeros_like(lt.x_in)
+        np.add.at(dx, query_rows, dx_q)
+    for name, dhead in (("k", dk), ("v", dv)):
+        dx = dx + _linear_backward(_merge_heads(dhead), lt.x_in, params, grads, p, name)
+    return dx
+
+
+def _ffn(x: np.ndarray, params: Params, prefix: str):
+    """GELU feed-forward, residual and layernorm: ``(x_out, LayerTrace fields)``."""
+    z1 = x @ params[prefix + "ffn.w1"] + params[prefix + "ffn.b1"]
+    hidden_act, cdf = _gelu(z1)
+    ffn_out = hidden_act @ params[prefix + "ffn.w2"] + params[prefix + "ffn.b2"]
+    x_out, xhat, inv_std = _layer_norm(x + ffn_out, params, prefix + "ln_ffn")
+    return x_out, dict(x_mid=x, z1=z1, cdf=cdf, ln_ffn_xhat=xhat, ln_ffn_inv_std=inv_std)
+
+
+def _ffn_backward(dx: np.ndarray, lt: LayerTrace, params: Params, grads: Params, prefix: str) -> np.ndarray:
+    dsum = _layer_norm_backward(dx, lt.ln_ffn_xhat, lt.ln_ffn_inv_std, params, grads, prefix + "ln_ffn")
+    dz1 = _linear_backward(dsum, lt.z1 * lt.cdf, params, grads, prefix + "ffn.", "2") * _gelu_grad(lt.z1, lt.cdf)
+    return dsum + _linear_backward(dz1, lt.x_mid, params, grads, prefix + "ffn.", "1")
+
+
+def _heads(x: np.ndarray, rows: np.ndarray, slots: np.ndarray, params: Params):
+    """``(match, mlm, nsp logits)``: vocabulary logits at the pairs' read slots, the other two at [CLS]."""
+    mlm_logits = x[rows, slots] @ params["mlm_head.w"] + params["mlm_head.b"]
+    cls = x[:, 0, :]
+    nsp_logits = cls @ params["nsp_head.w"] + params["nsp_head.b"]
+    match_logits = (cls @ params["match_head.w"])[:, 0] + params["match_head.b"][0]
+    return match_logits, mlm_logits, nsp_logits
+
+
+def _heads_backward(trace: ForwardTrace, params: Params, grads: Params, d_match, d_nsp, d_mlm) -> np.ndarray:
+    """Gradient of ``_heads`` at the last layer's (B, R, hidden) output."""
+    final, rows, slots = trace.final_hidden, trace.mlm_rows, trace.mlm_slots
+    d_match = np.asarray(d_match, dtype=float).reshape(len(final))
+    d_nsp = np.asarray(d_nsp, dtype=float).reshape(len(final), 2)
+    d_mlm = np.asarray(d_mlm, dtype=float).reshape(len(rows), params["mlm_head.w"].shape[1])
+    dx = np.zeros_like(final)
+    d_read = _linear_backward(d_mlm, final[rows, slots], params, grads, "mlm_head.", "")
+    np.add.at(dx, (rows, slots), d_read)
+    cls = final[:, 0, :]
+    grads["match_head.w"] += (cls * d_match[:, None]).sum(axis=0)[:, None]
+    grads["match_head.b"] += d_match.sum(keepdims=True)
+    dx[:, 0, :] += (
+        _linear_backward(d_nsp, cls, params, grads, "nsp_head.", "")
+        + d_match[:, None] * params["match_head.w"][:, 0]
+    )
+    return dx
+
+
+# --- forward and backward ---------------------------------------------------
+
+
 def forward_batch(
     batch: Batch,
-    params: dict[str, np.ndarray],
+    params: Params,
     config: ModelConfig,
     mlm_positions: tuple[np.ndarray, np.ndarray] | None = None,
 ):
@@ -328,12 +453,9 @@ def forward_batch(
     as (M, vocab) in the order of the pairs, and as (0, vocab) when none are
     requested, so no (B, L, vocab) array is ever built.
 
-    Layers before the last run at every position.  The last layer takes keys
-    and values from all L positions but computes everything else only at the
-    R read columns of each row, [CLS] plus its requested positions (see
-    ``_read_columns``): R is 1 when nothing is requested, and L when every
-    position is.  Its attention weights are (B, H, R, L), and the trace's
-    ``final_hidden`` is (B, R, hidden).
+    The last layer runs only at the R read columns of each row (see
+    ``_read_columns``): R is 1 when nothing is requested and L when every
+    position is, so its attention weights are (B, H, R, L).
 
     The batch is as wide as ``stack_inputs`` made it, at most
     ``max_seq_len``; column j takes position embedding j, and the batch's
@@ -343,76 +465,34 @@ def forward_batch(
     """
     rows, cols = ((), ()) if mlm_positions is None else mlm_positions
     rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-    x = embed_batch(batch, params, config)
-    if not np.isfinite(x).all():
-        raise NumericError("non-finite values in the embedding sum")
-    b, width, _ = x.shape
-    read, slots = _read_columns(rows, cols, b, width)
+    x = _embed(batch, params, config)
+    read, slots = _read_columns(rows, cols, *x.shape[:2])
     trace = ForwardTrace(config=config, batch=batch, embeddings=x, mlm_rows=rows, mlm_slots=slots)
-
-    pad_keys = batch.attention_mask[:, None, None, :] == 0
-    scale = 1.0 / np.sqrt(config.hidden_dim // config.num_heads)
     for i in range(config.num_layers):
         prefix = "layer%d." % i
         query_cols = read if i == config.num_layers - 1 else None
-        x_q = x if query_cols is None else x[np.arange(b)[:, None], query_cols]
-        q = _split_heads(x_q @ params[prefix + "attn.wq"] + params[prefix + "attn.bq"], config.num_heads)
-        k = _split_heads(x @ params[prefix + "attn.wk"] + params[prefix + "attn.bk"], config.num_heads)
-        v = _split_heads(x @ params[prefix + "attn.wv"] + params[prefix + "attn.bv"], config.num_heads)
-        # softmax in place: every fresh (B, H, L, L) array would be paged in anew
-        attn = q @ k.swapaxes(-1, -2)
-        attn *= scale
-        np.copyto(attn, -np.inf, where=pad_keys)
-        attn -= attn.max(axis=-1, keepdims=True)
-        np.exp(attn, out=attn)
-        attn /= attn.sum(axis=-1, keepdims=True)
-        merged = _merge_heads(attn @ v)
-        attn_out = merged @ params[prefix + "attn.wo"] + params[prefix + "attn.bo"]
-        x_mid, xhat1, inv_std1 = _layer_norm(
-            x_q + attn_out, params[prefix + "ln_attn.gain"], params[prefix + "ln_attn.bias"]
-        )
-        z1 = x_mid @ params[prefix + "ffn.w1"] + params[prefix + "ffn.b1"]
-        hidden_act, cdf = _gelu(z1)
-        ffn_out = hidden_act @ params[prefix + "ffn.w2"] + params[prefix + "ffn.b2"]
-        x_out, xhat2, inv_std2 = _layer_norm(
-            x_mid + ffn_out, params[prefix + "ln_ffn.gain"], params[prefix + "ln_ffn.bias"]
-        )
-        if not np.isfinite(x_out).all():
+        x_mid, attn_fields = _attention(x, query_cols, batch.attention_mask, params, prefix, config.num_heads)
+        x, ffn_fields = _ffn(x_mid, params, prefix)
+        if not np.isfinite(x).all():
             raise NumericError("non-finite activations after encoder layer %d" % i)
-        trace.layers.append(
-            LayerTrace(
-                x_in=x, query_cols=query_cols, q=q, k=k, v=v, attn=attn, merged=merged,
-                ln_attn_xhat=xhat1, ln_attn_inv_std=inv_std1, x_mid=x_mid,
-                z1=z1, cdf=cdf,
-                ln_ffn_xhat=xhat2, ln_ffn_inv_std=inv_std2,
-            )
-        )
-        x = x_out
-
+        trace.layers.append(LayerTrace(**attn_fields, **ffn_fields))
     trace.final_hidden = x
-    mlm_logits = x[rows, slots] @ params["mlm_head.w"] + params["mlm_head.b"]
-    cls = x[:, 0, :]
-    nsp_logits = cls @ params["nsp_head.w"] + params["nsp_head.b"]
-    match_logits = (cls @ params["match_head.w"])[:, 0] + params["match_head.b"][0]
-    return match_logits, mlm_logits, nsp_logits, trace
+    return (*_heads(x, rows, slots, params), trace)
 
 
-def score_batch(batch: Batch, params: dict[str, np.ndarray], config: ModelConfig) -> np.ndarray:
+def score_batch(batch: Batch, params: Params, config: ModelConfig) -> np.ndarray:
     """Matching probabilities for a batch."""
     match_logits, _, _, _ = forward_batch(batch, params, config)
     return expit(match_logits)
 
 
-# --- backward ---------------------------------------------------------------
-
-
 def backward(
     trace: ForwardTrace,
-    params: dict[str, np.ndarray],
+    params: Params,
     d_match: np.ndarray,
     d_nsp: np.ndarray,
     d_mlm: np.ndarray,
-) -> dict[str, np.ndarray]:
+) -> Params:
     """Exact gradients for every parameter given loss gradients at the heads.
 
     ``d_match`` is (B,) and ``d_nsp`` (B, 2); either may be zeros when its
@@ -420,112 +500,31 @@ def backward(
     per (row, position) pair the forward pass computed vocabulary logits
     for, and is scattered back to those pairs' read slots; it is
     (0, vocab) when the forward requested none.
-
-    The last layer is differentiated on its (B, R, ·) read rows; its key and
-    value gradients cover every position, and its residual and query
-    gradients are scattered back into the (B, L, hidden) input gradient.
     """
-    config = trace.config
-    validate_params(config, params)
+    validate_params(trace.config, params)
     if trace.final_hidden is None:
         raise ValueError("trace does not contain a completed forward pass")
-    final = trace.final_hidden
-    b, _, h = final.shape
-    d_match = np.asarray(d_match, dtype=float).reshape(b)
-    d_nsp = np.asarray(d_nsp, dtype=float).reshape(b, 2)
-    rows, slots = trace.mlm_rows, trace.mlm_slots
-    d_mlm = np.asarray(d_mlm, dtype=float).reshape(len(rows), config.vocab_size)
-
     grads = {name: np.zeros_like(tensor) for name, tensor in params.items()}
-
-    grads["mlm_head.w"] += final[rows, slots].T @ d_mlm
-    grads["mlm_head.b"] += d_mlm.sum(axis=0)
-    dx = np.zeros_like(final)
-    np.add.at(dx, (rows, slots), d_mlm @ params["mlm_head.w"].T)
-
-    cls = final[:, 0, :]
-    grads["nsp_head.w"] += cls.T @ d_nsp
-    grads["nsp_head.b"] += d_nsp.sum(axis=0)
-    grads["match_head.w"] += (cls * d_match[:, None]).sum(axis=0)[:, None]
-    grads["match_head.b"] += d_match.sum(keepdims=True)
-    dx[:, 0, :] += d_nsp @ params["nsp_head.w"].T + d_match[:, None] * params["match_head.w"][:, 0]
-
-    scale = 1.0 / np.sqrt(config.hidden_dim // config.num_heads)
-    for i in reversed(range(config.num_layers)):
+    dx = _heads_backward(trace, params, grads, d_match, d_nsp, d_mlm)
+    for i in reversed(range(trace.config.num_layers)):
         prefix = "layer%d." % i
-        lt = trace.layers[i]
-
-        dsum2, dgain2, dbias2 = _layer_norm_backward(
-            dx, lt.ln_ffn_xhat, lt.ln_ffn_inv_std, params[prefix + "ln_ffn.gain"]
-        )
-        grads[prefix + "ln_ffn.gain"] += dgain2
-        grads[prefix + "ln_ffn.bias"] += dbias2
-        hidden_act = lt.z1 * lt.cdf
-        grads[prefix + "ffn.w2"] += hidden_act.reshape(-1, config.ffn_dim).T @ dsum2.reshape(-1, h)
-        grads[prefix + "ffn.b2"] += dsum2.sum(axis=(0, 1))
-        dz1 = (dsum2 @ params[prefix + "ffn.w2"].T) * _gelu_grad(lt.z1, lt.cdf)
-        grads[prefix + "ffn.w1"] += lt.x_mid.reshape(-1, h).T @ dz1.reshape(-1, config.ffn_dim)
-        grads[prefix + "ffn.b1"] += dz1.sum(axis=(0, 1))
-        dx_mid = dsum2 + dz1 @ params[prefix + "ffn.w1"].T
-
-        dsum1, dgain1, dbias1 = _layer_norm_backward(
-            dx_mid, lt.ln_attn_xhat, lt.ln_attn_inv_std, params[prefix + "ln_attn.gain"]
-        )
-        grads[prefix + "ln_attn.gain"] += dgain1
-        grads[prefix + "ln_attn.bias"] += dbias1
-        grads[prefix + "attn.wo"] += lt.merged.reshape(-1, h).T @ dsum1.reshape(-1, h)
-        grads[prefix + "attn.bo"] += dsum1.sum(axis=(0, 1))
-        dmerged = dsum1 @ params[prefix + "attn.wo"].T
-        dctx = _split_heads(dmerged, config.num_heads)
-
-        dattn = dctx @ lt.v.swapaxes(-1, -2)
-        dv = lt.attn.swapaxes(-1, -2) @ dctx
-        # softmax backward, in dattn's buffer; masked keys carry attn == 0, so their scores get 0
-        dscores = dattn
-        dscores -= (dattn * lt.attn).sum(axis=-1, keepdims=True)
-        dscores *= lt.attn
-        dq = (dscores @ lt.k) * scale
-        dk = (dscores.swapaxes(-1, -2) @ lt.q) * scale
-
-        query_rows = (np.arange(b)[:, None], lt.query_cols)
-        x_q = lt.x_in if lt.query_cols is None else lt.x_in[query_rows]
-        dq_mat = _merge_heads(dq)
-        grads[prefix + "attn.wq"] += x_q.reshape(-1, h).T @ dq_mat.reshape(-1, h)
-        grads[prefix + "attn.bq"] += dq_mat.sum(axis=(0, 1))
-        dx_q = dsum1 + dq_mat @ params[prefix + "attn.wq"].T
-        if lt.query_cols is None:
-            dx = dx_q
-        else:
-            # padded slots repeat column 0: a fancy-index += would keep only one of the duplicates
-            dx = np.zeros_like(lt.x_in)
-            np.add.at(dx, query_rows, dx_q)
-        x_flat = lt.x_in.reshape(-1, h)
-        for name, dhead in (("k", dk), ("v", dv)):
-            dmat = _merge_heads(dhead)
-            grads[prefix + "attn.w" + name] += x_flat.T @ dmat.reshape(-1, h)
-            grads[prefix + "attn.b" + name] += dmat.sum(axis=(0, 1))
-            dx = dx + dmat @ params[prefix + "attn.w" + name].T
-
-    batch = trace.batch
-    flat_dx = dx.reshape(-1, h)
-    np.add.at(grads["token_table"], batch.token_ids.ravel(), flat_dx)
-    np.add.at(grads["segment_table"], batch.segment_ids.ravel(), flat_dx)
-    grads["position_table"][: dx.shape[1]] += dx.sum(axis=0)
-    np.add.at(grads["speaker_table"], batch.speaker_ids.ravel(), flat_dx)
+        dx_mid = _ffn_backward(dx, trace.layers[i], params, grads, prefix)
+        dx = _attention_backward(dx_mid, trace.layers[i], params, grads, prefix)
+    _embed_backward(dx, trace.batch, grads)
     return grads
 
 
 # --- checkpoints ------------------------------------------------------------
 
 
-def save_checkpoint(path: str | Path, config: ModelConfig, params: dict[str, np.ndarray]) -> None:
+def save_checkpoint(path: str | Path, config: ModelConfig, params: Params) -> None:
     """Write a self-describing .npz checkpoint (config JSON plus named tensors)."""
     validate_params(config, params)
     meta = json.dumps({"format": CHECKPOINT_FORMAT, "config": asdict(config)})
     np.savez(path, __meta__=np.array(meta), **params)
 
 
-def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
+def load_checkpoint(path: str | Path) -> tuple[ModelConfig, Params]:
     try:
         archive = np.load(path, allow_pickle=False)
         if not isinstance(archive, np.lib.npyio.NpzFile):

@@ -141,7 +141,7 @@ def test_criterion_04_gradient_check():
     with criterion(4, "analytic gradients match central differences on every tensor"):
         start = time.monotonic()
         config = ModelConfig(vocab_size=32, hidden_dim=16, num_layers=2, num_heads=2,
-                             ffn_dim=32, max_seq_len=24, seed=404)
+                             ffn_dim=32, max_seq_len=24)
         params = init_params(config, np.random.default_rng(404))
         batch, mlm_targets, match_labels, nsp_labels = gradcheck_setup(
             config, np.random.default_rng(405), batch_size=2
@@ -166,7 +166,7 @@ def test_criterion_05_speaker_mechanism():
         instances = speaker_pattern_instances(rng, 100)  # 200 examples
         assert len(instances) == 200
         config = ModelConfig(vocab_size=len(VOCAB), hidden_dim=32, num_layers=2, num_heads=4,
-                             ffn_dim=64, max_seq_len=32, seed=0)
+                             ffn_dim=64, max_seq_len=32)
 
         # ablated: zeroed+frozen speaker table; pair members are token-identical,
         # so their match logits are bitwise equal and accuracy is exactly 50%
@@ -193,7 +193,7 @@ def test_criterion_06_overfit_probe():
         vocab = topic_vocab()
         instances = topic_instances(np.random.default_rng(42), 32)
         config = ModelConfig(vocab_size=len(vocab), hidden_dim=32, num_layers=2, num_heads=4,
-                             ffn_dim=64, max_seq_len=48, seed=0)
+                             ffn_dim=64, max_seq_len=48)
         params = init_params(config, np.random.default_rng(0))
         tc = TrainConfig(learning_rate=3e-3, batch_size=25, max_epochs=150, seed=0)  # 300 steps
         result = train("finetune", instances, params, config, tc, vocab)
@@ -241,7 +241,7 @@ def test_criterion_08_two_phase_effect_direction():
             train_insts = topic_instances(rng, 128)
             pools = topic_pools(rng, 40)
             config = ModelConfig(vocab_size=len(vocab), hidden_dim=32, num_layers=2,
-                                 num_heads=4, ffn_dim=64, max_seq_len=max_len, seed=seed)
+                                 num_heads=4, ffn_dim=64, max_seq_len=max_len)
             finetune_tc = TrainConfig(learning_rate=3e-3, batch_size=25, max_epochs=4, seed=seed)
 
             plain_params = init_params(config, np.random.default_rng(seed))

@@ -61,7 +61,7 @@ def simple_input(content=(7, 8, 9, 10), speakers=(1, 1, 2, 2)):
 class TestEmbed:
     def test_zero_tables_zero_output(self):
         config = tiny_model_config(vocab_size=16, max_seq_len=12)
-        params = init_params(config)
+        params = init_params(config, np.random.default_rng(7))
         for name in ("token_table", "segment_table", "position_table", "speaker_table"):
             params[name][:] = 0.0
         out = embed(simple_input(), params, config)
@@ -69,7 +69,7 @@ class TestEmbed:
 
     def test_reserved_speaker_row(self):
         config = tiny_model_config(vocab_size=16, max_seq_len=12)
-        params = init_params(config)
+        params = init_params(config, np.random.default_rng(7))
         enc = simple_input()
         baseline = embed(enc, params, config)
         # position 0 is [CLS] with speaker 0; the zero row contributes nothing
@@ -83,7 +83,7 @@ class TestEmbed:
     def test_hand_computed_sum(self):
         config = ModelConfig(vocab_size=8, hidden_dim=4, num_layers=1, num_heads=1,
                              ffn_dim=4, max_seq_len=8)
-        params = init_params(config)
+        params = init_params(config, np.random.default_rng(0))
         for name in ("token_table", "segment_table", "position_table", "speaker_table"):
             params[name][:] = 0.0
         params["token_table"][7] = [1, 0, 0, 0]
@@ -100,7 +100,7 @@ class TestEmbed:
 
     def test_out_of_range_names_track(self):
         config = tiny_model_config(vocab_size=16, max_seq_len=12)
-        params = init_params(config)
+        params = init_params(config, np.random.default_rng(7))
         enc = simple_input(content=(7, 8, 9, 15))
         bad = replace(enc, token_ids=tuple(99 if t == 15 else t for t in enc.token_ids))
         with pytest.raises(ValueError, match="token_ids"):
@@ -108,7 +108,7 @@ class TestEmbed:
 
     def test_batch_wider_than_max_seq_len_rejected(self):
         config = tiny_model_config(vocab_size=16, max_seq_len=8)
-        params = init_params(config)
+        params = init_params(config, np.random.default_rng(7))
         enc = simple_input()  # 7 positions
         embed(enc, params, config)
         with pytest.raises(ValueError, match="batch width 9 exceeds max_seq_len 8"):
@@ -120,7 +120,7 @@ class TestEmbed:
 class TestForward:
     def test_deterministic(self):
         config = tiny_model_config(vocab_size=16, max_seq_len=12)
-        params = init_params(config)
+        params = init_params(config, np.random.default_rng(7))
         enc = simple_input()
         live = list(range(len(enc)))
         a = forward(enc, params, config, live)
@@ -132,7 +132,7 @@ class TestForward:
 
     def test_padding_invariance_bitwise(self, rng):
         config = tiny_model_config(vocab_size=16, max_seq_len=16)
-        params = init_params(config)
+        params = init_params(config, np.random.default_rng(7))
         batch = widen(stack_inputs([simple_input()]), 16)
         pad_slots = batch.attention_mask == 0
         tampered = replace(batch, token_ids=batch.token_ids.copy())
@@ -146,7 +146,7 @@ class TestForward:
 
     def test_attention_rows_sum_to_one(self, rng):
         config = tiny_model_config(vocab_size=32, max_seq_len=32)
-        params = init_params(config)
+        params = init_params(config, np.random.default_rng(7))
         batch = stack_inputs([random_encoded(rng, max_len=32) for _ in range(4)])
         _, _, _, trace = forward_batch(batch, params, config)
         for attn in trace.attention_weights:
@@ -158,7 +158,7 @@ class TestForward:
 
     def test_attention_equals_reference_softmax_bitwise(self, rng):
         config = tiny_model_config(vocab_size=32, max_seq_len=32)
-        params = init_params(config)
+        params = init_params(config, np.random.default_rng(7))
         batch = widen(stack_inputs([random_encoded(rng, max_len=32) for _ in range(5)]), 32)
         _, _, _, trace = forward_batch(batch, params, config)
         scale = 1.0 / np.sqrt(config.hidden_dim // config.num_heads)
@@ -167,7 +167,7 @@ class TestForward:
 
     def test_zero_match_head_gives_zero_logit(self, rng):
         config = tiny_model_config(vocab_size=32, max_seq_len=32)
-        params = init_params(config)
+        params = init_params(config, np.random.default_rng(7))
         params["match_head.w"][:] = 0.0
         params["match_head.b"][:] = 0.0
         for _ in range(5):
@@ -177,7 +177,7 @@ class TestForward:
 
     def test_nonfinite_raises_with_layer_index(self):
         config = tiny_model_config(vocab_size=16, max_seq_len=12)
-        params = init_params(config)
+        params = init_params(config, np.random.default_rng(7))
         params["layer1.ffn.w2"][:] = 1e308
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="layer 1"):
             forward(simple_input(), params, config)
@@ -194,14 +194,14 @@ class TestGelu:
 class TestScore:
     def test_sigmoid_of_zero(self):
         config = tiny_model_config(vocab_size=16, max_seq_len=12)
-        params = init_params(config)
+        params = init_params(config, np.random.default_rng(7))
         params["match_head.w"][:] = 0.0
         params["match_head.b"][:] = 0.0
         assert score(simple_input(), params, config) == 0.5
 
     def test_large_logit_saturates_monotonically(self):
         config = tiny_model_config(vocab_size=16, max_seq_len=12)
-        params = init_params(config)
+        params = init_params(config, np.random.default_rng(7))
         values = []
         for bias in (0.0, 2.0, 8.0, 30.0):
             params["match_head.b"][:] = bias
@@ -231,7 +231,7 @@ class TestScore:
 class TestBackward:
     def test_zero_head_gradients_give_zero_param_gradients(self, rng):
         config = tiny_model_config(vocab_size=16, max_seq_len=12)
-        params = init_params(config)
+        params = init_params(config, np.random.default_rng(7))
         _, mlm, _, trace = forward(simple_input(), params, config, mlm_positions=[1, 2, 4])
         grads = backward(trace, params, np.zeros(1), np.zeros((1, 2)), np.zeros_like(mlm))
         for name, grad in grads.items():
@@ -239,8 +239,13 @@ class TestBackward:
 
     def test_gradients_match_finite_differences_small(self, rng):
         config = ModelConfig(vocab_size=12, hidden_dim=8, num_layers=1, num_heads=2,
-                             ffn_dim=12, max_seq_len=10, seed=5)
+                             ffn_dim=12, max_seq_len=10)
         params = init_params(config, np.random.default_rng(5))
+        # at init scale attention is near uniform and the last layer's query-input
+        # gradient falls under the check's floor; larger scores make it count
+        for name in ("token_table", "segment_table", "position_table", "speaker_table",
+                     "layer0.attn.wq", "layer0.attn.wk"):
+            params[name] *= 25.0
         batch, mlm_targets, match_labels, nsp_labels = gradcheck_setup(config, np.random.default_rng(11), batch_size=1)
         analytic = combined_loss_grads(params, batch, config, mlm_targets, match_labels, nsp_labels)
 
@@ -254,7 +259,7 @@ class TestBackward:
 
     def test_incomplete_trace_rejected(self):
         config = tiny_model_config(vocab_size=16, max_seq_len=12)
-        params = init_params(config)
+        params = init_params(config, np.random.default_rng(7))
         batch = stack_inputs([simple_input()])
         _, mlm, _, trace = forward_batch(batch, params, config)
         trace.final_hidden = None
@@ -265,7 +270,7 @@ class TestBackward:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         config = tiny_model_config(vocab_size=16, max_seq_len=12)
-        params = init_params(config)
+        params = init_params(config, np.random.default_rng(7))
         path = tmp_path / "model.npz"
         save_checkpoint(path, config, params)
         loaded_config, loaded_params = load_checkpoint(path)
@@ -275,14 +280,14 @@ class TestCheckpoint:
 
     def test_shape_validation(self):
         config = tiny_model_config(vocab_size=16, max_seq_len=12)
-        params = init_params(config)
+        params = init_params(config, np.random.default_rng(7))
         params["match_head.w"] = np.zeros((3, 3))
         with pytest.raises(ValueError, match="match_head.w"):
             validate_params(config, params)
 
     def test_missing_key_detected(self):
         config = tiny_model_config(vocab_size=16, max_seq_len=12)
-        params = init_params(config)
+        params = init_params(config, np.random.default_rng(7))
         del params["nsp_head.b"]
         with pytest.raises(ValueError, match="nsp_head.b"):
             validate_params(config, params)

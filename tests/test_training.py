@@ -305,12 +305,12 @@ class TestTrain:
         assert not np.array_equal(params["speaker_table"], before)
 
     def test_unknown_phase(self):
-        params = init_params(self.config)
+        params = init_params(self.config, np.random.default_rng(0))
         with pytest.raises(ValueError):
             train("pretrain", self.instances, params, self.config, TrainConfig(), self.vocab)
 
     def test_empty_dataset(self):
-        params = init_params(self.config)
+        params = init_params(self.config, np.random.default_rng(0))
         with pytest.raises(ValueError):
             train("finetune", [], params, self.config, TrainConfig(), self.vocab)
 
