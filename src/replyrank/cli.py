@@ -319,20 +319,19 @@ _MODEL_SIZES = ("hidden_dim", "num_layers", "num_heads", "ffn_dim", "max_seq_len
 
 def _prepare_training(args, phase: str):
     config = _load_config(args.config)
-    train_section, phase_section, model_section = (
-        _config_section(config, name) for name in ("train", phase, "model")
-    )
-    vocab = Vocabulary.load(args.vocab)
-    seed = args.seed if args.seed is not None else train_section.get("seed", 0)
-
-    # phase-specific section (e.g. "adapt": {"max_epochs": ...}) overrides "train"
-    train_kwargs = {**train_section, **phase_section, "seed": seed}
-    if args.no_speaker_embeddings:
-        train_kwargs["freeze_speaker_table"] = True
+    train_section, model_section = _config_section(config, "train"), _config_section(config, "model")
+    # Each phase section (e.g. "adapt": {"max_epochs": ...}) overrides "train".  Both are
+    # checked whichever phase runs.  The seed and the speaker ablation come only from
+    # their flags, so a section naming either is a duplicate keyword, a usage error.
     try:
-        train_config = TrainConfig(**train_kwargs)
+        train_config = {
+            name: TrainConfig(**{**train_section, **_config_section(config, name)}, seed=args.seed,
+                              freeze_speaker_table=args.no_speaker_embeddings)
+            for name in ("adapt", "finetune")
+        }[phase]
     except (TypeError, ValueError) as exc:
         raise UsageError("bad train config: %s" % exc) from exc
+    vocab = Vocabulary.load(args.vocab)
 
     # the "model" section is checked even when a checkpoint supplies the model
     try:
@@ -340,11 +339,8 @@ def _prepare_training(args, phase: str):
     except (TypeError, ValueError) as exc:
         raise UsageError("bad model config: %s" % exc) from exc
 
-    checkpoint_in = getattr(args, "checkpoint_in", None)
-    if getattr(args, "no_adaptation", False):
-        checkpoint_in = None
-    if checkpoint_in:
-        model_config, params = load_checkpoint(checkpoint_in)
+    if args.checkpoint_in:
+        model_config, params = load_checkpoint(args.checkpoint_in)
         if model_config.vocab_size != len(vocab):
             raise CorpusError(
                 "checkpoint vocab size %d does not match vocabulary %d"
@@ -354,16 +350,16 @@ def _prepare_training(args, phase: str):
             if key in model_section and model_section[key] != getattr(model_config, key):
                 raise UsageError(
                     "config sets model %s %d but checkpoint %s has %d"
-                    % (key, model_section[key], checkpoint_in, getattr(model_config, key))
+                    % (key, model_section[key], args.checkpoint_in, getattr(model_config, key))
                 )
     else:
-        params = init_params(model_config, np.random.default_rng(seed))
-    return vocab, model_config, train_config, params, seed
+        params = init_params(model_config, np.random.default_rng(train_config.seed))
+    return vocab, model_config, train_config, params
 
 
 def _run_phase(args, phase: str) -> int:
     started = _start()
-    vocab, model_config, train_config, params, seed = _prepare_training(args, phase)
+    vocab, model_config, train_config, params = _prepare_training(args, phase)
     instances = _load_instances(args.data, args.format, disentangle=not args.no_disentangle, cap=args.cap)
     if phase == "adapt" and sum(inst.label == 1 for inst in instances) < 2:
         raise CorpusError("%s has fewer than 2 label-1 examples to adapt on" % args.data)
@@ -395,8 +391,8 @@ def _run_phase(args, phase: str) -> int:
     if result.best_epoch is not None:
         print("selected epoch %d checkpoint (validation metric %.6f)"
               % (result.best_epoch, result.validation_history[result.best_epoch]))
-    inputs = [args.data, args.vocab] + [p for p in (args.validation, getattr(args, "checkpoint_in", None)) if p]
-    _write_manifest(phase, args, inputs, [args.checkpoint_out, args.loss_log], seed, started)
+    inputs = [args.data, args.vocab, args.validation, args.checkpoint_in, args.config]
+    _write_manifest(phase, args, inputs, [args.checkpoint_out, args.loss_log], train_config.seed, started)
     return EXIT_OK
 
 
@@ -504,7 +500,7 @@ def _add_train_args(parser):
     parser.add_argument("--checkpoint-out", required=True, help="where to save the trained checkpoint")
     parser.add_argument("--loss-log", help="CSV file for per-step losses")
     parser.add_argument("--validation", help="validation data (pools for finetune)")
-    parser.add_argument("--seed", type=int, help="seed override for init, shuffling and sampling")
+    parser.add_argument("--seed", type=int, default=0, help="seed for init, shuffling and sampling (default 0)")
     parser.add_argument("--no-speaker-embeddings", action="store_true",
                         help="zero and freeze the speaker embedding table")
 
@@ -538,8 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("finetune", help="fine-tune the matching head")
     _add_data_args(p)
     _add_train_args(p)
-    p.add_argument("--no-adaptation", action="store_true",
-                   help="ignore --checkpoint-in and start from random init")
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("evaluate", help="rank candidate pools and report metrics")

@@ -548,6 +548,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, Params]:
         config = ModelConfig(**meta["config"])
     except (TypeError, ValueError) as exc:
         raise CheckpointError("checkpoint %s has an invalid model config: %s" % (path, exc)) from exc
-    params = {name: array.astype(float) for name, array in entries.items()}
-    validate_params(config, params)
+    try:
+        params = {name: array.astype(float) for name, array in entries.items()}
+        validate_params(config, params)  # its NumericError, on non-finite values, passes through
+    except ValueError as exc:
+        raise CheckpointError("checkpoint %s: %s" % (path, exc)) from exc
     return config, params

@@ -42,28 +42,26 @@ class MaskedPosition:
     replacement_id: int
 
 
+# The fixed BERT recipe (Devlin et al., NAACL 2019): the share of content
+# tokens corrupted in adaptation, and AdamW's decoupled weight decay.
+MASK_FRACTION = 0.15
+WEIGHT_DECAY = 0.01
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 2e-5
     batch_size: int = 25
     max_epochs: int = 3
-    mask_fraction: float = 0.15
-    weight_decay: float = 0.01
     seed: int = 0
     freeze_speaker_table: bool = False
 
     def __post_init__(self) -> None:
         if not all(_is_int(n) for n in (self.batch_size, self.max_epochs, self.seed)):
             raise ValueError("batch_size, max_epochs and seed must be integers")
-        numbers = (self.learning_rate, self.mask_fraction, self.weight_decay)
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in numbers):
-            raise ValueError("learning_rate, mask_fraction and weight_decay must be numbers")
-        if not isinstance(self.freeze_speaker_table, bool):
-            raise ValueError("freeze_speaker_table must be true or false")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 < self.mask_fraction < 1.0:
-            raise ValueError("mask_fraction must be in (0, 1)")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0 < lr < math.inf:
+            raise ValueError("learning_rate must be a finite positive number")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be >= 1")
 
@@ -159,7 +157,6 @@ def _corrupted_pairs(
     response_pool: Sequence[Utterance],
     vocab: Vocabulary,
     max_len: int,
-    mask_fraction: float,
     rng: np.random.Generator,
 ) -> tuple[list[EncodedInput], list[list[MaskedPosition]], np.ndarray]:
     """Pair and corrupt each instance: ``(masked encodings, plans, pair labels)``.
@@ -171,7 +168,7 @@ def _corrupted_pairs(
         enc, label = build_nsp_pair(
             inst.context, inst.response, inst.response_role, response_pool, vocab, max_len, rng
         )
-        plan = plan_masking(enc, vocab, mask_fraction, rng)
+        plan = plan_masking(enc, vocab, MASK_FRACTION, rng)
         encoded.append(apply_masking(enc, plan))
         plans.append(plan)
         labels.append(label)
@@ -381,8 +378,7 @@ def train(
             raise ValueError("adaptation needs at least 2 distinct responses")
         if validation is not None:
             val_fixed = _corrupted_pairs(
-                validation, response_pool, vocab, max_len, train_config.mask_fraction,
-                np.random.default_rng(train_config.seed + 104729),
+                validation, response_pool, vocab, max_len, np.random.default_rng(train_config.seed + 104729)
             )
     else:
         instances = list(dataset)
@@ -410,14 +406,11 @@ def train(
                     params, model_config,
                 )
             else:
-                corrupted = _corrupted_pairs(
-                    [instances[j] for j in batch_idx], response_pool, vocab, max_len,
-                    train_config.mask_fraction, rng,
-                )
+                corrupted = _corrupted_pairs([instances[j] for j in batch_idx], response_pool, vocab, max_len, rng)
                 loss, grads = _adaptation_batch(*corrupted, params, model_config)
             if not math.isfinite(loss):
                 raise TrainingDiverged("non-finite loss at step %d" % step)
-            adamw_step(params, grads, state, lr, train_config.weight_decay, frozen=frozen)
+            adamw_step(params, grads, state, lr, WEIGHT_DECAY, frozen=frozen)
             step += 1
             log.append(LogEntry(step=step, phase=phase, loss=loss, lr=lr))
 

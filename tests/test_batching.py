@@ -11,7 +11,7 @@ from replyrank import cli, training
 from replyrank.encoding import EncodedInput, encode_instance
 from replyrank.model import Batch, init_params, score_batch, stack_inputs
 from replyrank.tokenizer import CLS, PAD, SEP
-from replyrank.training import TrainConfig, _adaptation_batch, _finetune_batch, apply_masking, plan_masking
+from replyrank.training import MASK_FRACTION, _adaptation_batch, _finetune_batch, apply_masking, plan_masking
 from helpers import VOCAB, random_encoded, tiny_model_config, topic_pools, topic_vocab, widen
 
 TOLERANCE = 1e-12
@@ -63,8 +63,7 @@ class TestPaddingInvariance:
                      score_batch(stack_wide(inputs), params, CONFIG))
 
         labels = rng.integers(0, 2, size=size).astype(float)
-        train_config = TrainConfig()
-        plans = [plan_masking(enc, VOCAB, train_config.mask_fraction, rng) for enc in inputs]
+        plans = [plan_masking(enc, VOCAB, MASK_FRACTION, rng) for enc in inputs]
         masked = [apply_masking(enc, plan) for enc, plan in zip(inputs, plans)]
         nsp_labels = rng.integers(0, 2, size=size)
         loss, grads = _finetune_batch(inputs, labels, params, CONFIG)

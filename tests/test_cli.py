@@ -1,4 +1,5 @@
 import ctypes
+import hashlib
 import io
 import json
 import resource
@@ -151,25 +152,6 @@ class TestTrainingCommands:
         _, adapted_params = load_checkpoint(adapted)
         assert not np.array_equal(params["token_table"], adapted_params["token_table"])
 
-    def test_no_adaptation_equals_fresh_init_run(self, workdir):
-        vocab = self._vocab(workdir)
-        adapted = workdir / "adapted.npz"
-        assert run("adapt", "--data", workdir / "train.tsv", "--vocab", vocab,
-                   "--config", workdir / "config.json", "--checkpoint-out", adapted,
-                   "--seed", "0") == 0
-        ignoring = workdir / "ignoring.npz"
-        assert run("finetune", "--data", workdir / "train.tsv", "--vocab", vocab,
-                   "--config", workdir / "config.json", "--checkpoint-in", adapted,
-                   "--no-adaptation", "--checkpoint-out", ignoring, "--seed", "3") == 0
-        fresh = workdir / "fresh.npz"
-        assert run("finetune", "--data", workdir / "train.tsv", "--vocab", vocab,
-                   "--config", workdir / "config.json", "--checkpoint-out", fresh,
-                   "--seed", "3") == 0
-        _, a = load_checkpoint(ignoring)
-        _, b = load_checkpoint(fresh)
-        for name in a:
-            assert np.array_equal(a[name], b[name]), name
-
     def test_no_speaker_embeddings_zeroes_table(self, workdir):
         vocab = self._vocab(workdir)
         out = workdir / "ablated.npz"
@@ -284,10 +266,18 @@ class TestTrainingCommands:
             {"model": {"num_layers": True}},
             {"train": {"freeze_speaker_table": "false"}},
             {"train": {"learning_rate": True}},
+            {"adapt": {"seed": 5}},
+            {"finetune": {"freeze_speaker_table": True}},
+            {"train": {"mask_fraction": 0.15}},
+            {"train": {"weight_decay": 0.01}},
+            {"train": {"learning_rate": float("nan")}},
+            {"train": {"learning_rate": float("inf")}},
         ],
         ids=["train-list", "train-int", "adapt-list", "model-list", "batch-size", "max-epochs", "seed",
              "max-seq-len", "speaker-roles", "weight-decay", "mlm-weight", "model-seed", "dropout-rate",
-             "batch-size-bool", "num-layers-bool", "freeze-flag-string", "learning-rate-bool"],
+             "batch-size-bool", "num-layers-bool", "freeze-flag-string", "learning-rate-bool",
+             "adapt-seed", "finetune-freeze-flag", "mask-fraction", "weight-decay-default",
+             "learning-rate-nan", "learning-rate-infinity"],
     )
     def test_malformed_config_is_usage_error(self, workdir, capsys, config):
         (workdir / "config.json").write_text(json.dumps(config))
@@ -296,6 +286,13 @@ class TestTrainingCommands:
         assert err.startswith("usage error: ")
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_no_adaptation_flag_is_usage_error(self, workdir, capsys):
+        code, err = self._rejected_before_training(
+            workdir, capsys, "finetune", workdir / "train.tsv", "--no-adaptation"
+        )
+        assert code == 1
+        assert err == "usage error: unrecognized arguments: --no-adaptation\n"
 
     def test_adapt_validation_without_positives_is_data_error(self, workdir, capsys):
         negatives = workdir / "negatives.tsv"
@@ -386,6 +383,13 @@ class TestTrainingCommands:
         assert all(len(h) == 64 for h in manifest["inputs"].values())
         assert "func" not in configs[0]
         assert configs[0] == configs[1]
+        # the config file's content is an input of both phases
+        config_hash = hashlib.sha256((workdir / "config.json").read_bytes()).hexdigest()
+        assert manifest["inputs"][str(workdir / "config.json")] == config_hash
+        assert run("adapt", "--data", workdir / "train.tsv", "--vocab", vocab,
+                   "--config", workdir / "config.json", "--checkpoint-out", out, "--seed", "5") == 0
+        manifest = json.loads((workdir / "m.npz.manifest.json").read_text())
+        assert manifest["inputs"][str(workdir / "config.json")] == config_hash
 
     def test_manifest_records_resources(self, workdir):
         vocab = self._vocab(workdir)
@@ -422,7 +426,7 @@ class TestShippedConfigs:
         vocab.write_text("\n".join(SPECIAL_TOKENS + ("hello",)) + "\n")
         args = build_parser().parse_args([phase, "--data", "unused.tsv", "--vocab", str(vocab),
                                           "--config", str(config), "--checkpoint-out", "unused.npz"])
-        _, model_config, train_config, _, _ = _prepare_training(args, phase)
+        _, model_config, train_config, _ = _prepare_training(args, phase)
         sections = json.loads(config.read_text())
         train = {**sections["train"], **sections.get(phase, {})}
         assert {key: getattr(train_config, key) for key in train} == train
@@ -583,6 +587,35 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("data error: checkpoint %s" % ckpt)
         assert message in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda entries: entries.pop("token_table"),
+             "parameter keys mismatch: missing ['token_table']"),
+            (lambda entries: entries.update(bogus=np.zeros(2)),
+             "parameter keys mismatch: missing [], extra ['bogus']"),
+            (lambda entries: entries.update({"match_head.b": np.zeros(3)}),
+             "parameter match_head.b has shape (3,), expected (1,)"),
+            (lambda entries: entries.update({"match_head.b": np.array(["x"])}),
+             "could not convert string to float"),
+        ],
+        ids=["missing-tensor", "extra-tensor", "wrong-shape", "string-tensor"],
+    )
+    def test_malformed_checkpoint_tensors_are_data_error(self, workdir, capsys, change, message):
+        pools = workdir / "good.jsonl"
+        self._write_pools(pools, [2])
+        vocab, ckpt = self._untrained(workdir, pools)
+        with np.load(ckpt) as archive:
+            entries = {name: archive[name] for name in archive.files}
+        change(entries)
+        bad = workdir / "bad_tensors.npz"
+        np.savez(bad, **entries)
+        capsys.readouterr()
+        assert run("evaluate", "--pools", pools, "--checkpoint", bad, "--vocab", vocab) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: checkpoint %s: %s" % (bad, message))
         assert len(err.strip().splitlines()) == 1
 
     def test_format_1_checkpoint_is_data_error(self, workdir, capsys):

@@ -11,6 +11,8 @@ from replyrank.encoding import EncodedInput
 from replyrank.model import ModelConfig, init_params
 from replyrank.tokenizer import CLS, EOT, EOU, MASK, NUM_SPECIALS, PAD, SEP
 from replyrank.training import (
+    MASK_FRACTION,
+    WEIGHT_DECAY,
     AdamState,
     TrainConfig,
     _adaptation_batch,
@@ -342,7 +344,7 @@ class TestAdaptationValidation:
         config = ModelConfig(vocab_size=len(vocab), hidden_dim=16, num_layers=2, num_heads=2,
                              ffn_dim=24, max_seq_len=32)
         params = init_params(config, np.random.default_rng(4))
-        draw = _corrupted_pairs(instances, [inst.response for inst in instances], vocab, 32, 0.15,
+        draw = _corrupted_pairs(instances, [inst.response for inst in instances], vocab, 32,
                                 np.random.default_rng(6))
         tc = TrainConfig(batch_size=5)
         whole, _ = _adaptation_batch(*draw, params, config)
@@ -365,7 +367,7 @@ class TestAdaptationValidation:
                     segment_ids=(0,) * (content // 2 + 1) + (1,) * (content - content // 2 + 1),
                     speaker_ids=(0, *(int(r) for r in rng.integers(1, 3, content)), 0),
                 )
-                plan = plan_masking(enc, VOCAB, tc.mask_fraction, rng)
+                plan = plan_masking(enc, VOCAB, MASK_FRACTION, rng)
                 encoded.append(apply_masking(enc, plan))
                 plans.append(plan)
             draws.append((encoded, plans, rng.integers(0, 2, count)))
@@ -386,13 +388,15 @@ class TestTrainConfig:
         assert tc.learning_rate == 2e-5
         assert tc.batch_size == 25
         assert tc.max_epochs == 3
-        assert tc.mask_fraction == 0.15
+        assert MASK_FRACTION == 0.15
+        assert WEIGHT_DECAY == 0.01
 
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(mask_fraction=1.0)
+        for learning_rate in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                TrainConfig(learning_rate=learning_rate)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 
