@@ -317,12 +317,23 @@ def cmd_disentangle(args) -> int:
 _MODEL_SIZES = ("hidden_dim", "num_layers", "num_heads", "ffn_dim", "max_seq_len")
 
 
+# settings a config section must not hold, with the flag that sets each
+_FLAG_SETTINGS = {"seed": "--seed", "freeze_speaker_table": "--no-speaker-embeddings"}
+
+
 def _prepare_training(args, phase: str):
     config = _load_config(args.config)
+    for name in config:
+        if name not in ("model", "train", "adapt", "finetune"):
+            raise UsageError("unknown config section %r (expected model, train, adapt or finetune)" % name)
     train_section, model_section = _config_section(config, "train"), _config_section(config, "model")
     # Each phase section (e.g. "adapt": {"max_epochs": ...}) overrides "train".  Both are
     # checked whichever phase runs.  The seed and the speaker ablation come only from
-    # their flags, so a section naming either is a duplicate keyword, a usage error.
+    # their flags.
+    for name in ("train", "adapt", "finetune"):
+        for key, flag in _FLAG_SETTINGS.items():
+            if key in _config_section(config, name):
+                raise UsageError("config section %r sets %s; set it with %s only" % (name, key, flag))
     try:
         train_config = {
             name: TrainConfig(**{**train_section, **_config_section(config, name)}, seed=args.seed,

@@ -492,6 +492,7 @@ def backward(
     d_match: np.ndarray,
     d_nsp: np.ndarray,
     d_mlm: np.ndarray,
+    grads: Params | None = None,
 ) -> Params:
     """Exact gradients for every parameter given loss gradients at the heads.
 
@@ -499,12 +500,14 @@ def backward(
     head does not take part in the loss.  ``d_mlm`` is (M, vocab), one row
     per (row, position) pair the forward pass computed vocabulary logits
     for, and is scattered back to those pairs' read slots; it is
-    (0, vocab) when the forward requested none.
+    (0, vocab) when the forward requested none.  The gradients are added
+    into ``grads`` when it is given, and returned; otherwise into zeros.
     """
     validate_params(trace.config, params)
     if trace.final_hidden is None:
         raise ValueError("trace does not contain a completed forward pass")
-    grads = {name: np.zeros_like(tensor) for name, tensor in params.items()}
+    if grads is None:
+        grads = {name: np.zeros_like(tensor) for name, tensor in params.items()}
     dx = _heads_backward(trace, params, grads, d_match, d_nsp, d_mlm)
     for i in reversed(range(trace.config.num_layers)):
         prefix = "layer%d." % i

@@ -244,13 +244,33 @@ def linear_lr(base_lr: float, step: int, total_steps: int) -> float:
 # --- training loop -------------------------------------------------------------
 
 
+# The activation budget of one training forward.  A step runs as consecutive
+# row blocks sized to it (``_block_rows``), and the blocks' gradients are added
+# up before the step's single update; a step that fits is one block.
+BLOCK_BYTES = 3 * 2**20
+
+
+def _block_rows(encoded: Sequence[EncodedInput], model_config: ModelConfig) -> list[slice]:
+    """Consecutive row slices whose attention and feed-forward activations fit ``BLOCK_BYTES``.
+
+    A row costs ``8 * (num_heads * w * w + ffn_dim * w)`` bytes, with ``w``
+    the widest input of the step; a block holds at least one row.
+    """
+    w = max(len(enc) for enc in encoded)
+    size = max(1, BLOCK_BYTES // (8 * (model_config.num_heads * w * w + model_config.ffn_dim * w)))
+    return [slice(start, start + size) for start in range(0, len(encoded), size)]
+
+
 def _finetune_batch(encoded: list[EncodedInput], labels: np.ndarray, params, model_config):
-    batch = stack_inputs(encoded)
-    match_logits, mlm_logits, _, trace = forward_batch(batch, params, model_config)
-    losses = np.logaddexp(0.0, match_logits) - labels * match_logits
-    d_match = (expit(match_logits) - labels) / len(labels)
-    d_nsp = np.zeros((len(labels), 2))
-    grads = backward(trace, params, d_match, d_nsp, np.zeros_like(mlm_logits))
+    """The mean matching loss on one batch and its gradients, block by block: ``(loss, grads)``."""
+    losses, grads = np.empty(len(labels)), None
+    for rows in _block_rows(encoded, model_config):
+        match_logits, mlm_logits, _, trace = forward_batch(stack_inputs(encoded[rows]), params, model_config)
+        losses[rows] = np.logaddexp(0.0, match_logits) - labels[rows] * match_logits
+        d_match = (expit(match_logits) - labels[rows]) / len(labels)
+        d_nsp = np.zeros((len(match_logits), 2))
+        grads = backward(trace, params, d_match, d_nsp, np.zeros_like(mlm_logits), grads)
+        del trace  # free this block's activations before the next forward
     return float(losses.mean()), grads
 
 
@@ -289,20 +309,19 @@ def _adaptation_validation_loss(
     nsp_labels: np.ndarray,
     params,
     model_config,
-    train_config,
 ) -> float:
     """The adaptation objective over a fixed validation draw.
 
-    The draw is scored in chunks of ``batch_size`` rows, so memory does not
-    grow with the validation set; the per-position and per-pair losses of
-    all chunks make up one masked-token mean and one pair mean.
+    The draw is scored in the row blocks a training step would use, so
+    memory does not grow with the validation set; the per-position and
+    per-pair losses of all blocks make up one masked-token mean and one pair
+    mean.
     """
     mlm, nsp = [], []
-    for start in range(0, len(encoded), train_config.batch_size):
-        chunk = slice(start, start + train_config.batch_size)
-        # keep only the losses, so one chunk's trace is freed before the next is built
+    for rows in _block_rows(encoded, model_config):
+        # keep only the losses, so one block's trace is freed before the next is built
         mlm_losses, nsp_losses = _adaptation_losses(
-            encoded[chunk], plans[chunk], nsp_labels[chunk], params, model_config
+            encoded[rows], plans[rows], nsp_labels[rows], params, model_config
         )[:2]
         mlm.append(mlm_losses)
         nsp.append(nsp_losses)
@@ -316,14 +335,24 @@ def _adaptation_batch(
     params,
     model_config,
 ):
-    """The adaptation objective on one batch and its gradients: ``(loss, grads)``."""
-    mlm_losses, nsp_losses, d_mlm, d_nsp, trace = _adaptation_losses(
-        encoded, plans, nsp_labels, params, model_config
-    )
-    d_mlm *= 1.0 / len(mlm_losses)
-    d_nsp *= 1.0 / len(nsp_losses)
-    grads = backward(trace, params, np.zeros(len(encoded)), d_nsp, d_mlm)
-    return _adaptation_objective(mlm_losses, nsp_losses), grads
+    """The adaptation objective on one batch and its gradients, block by block: ``(loss, grads)``.
+
+    The pair gradient is divided by the batch's row count and the
+    masked-token gradient by its total masked positions, whatever the blocks.
+    """
+    masked = sum(len(plan) for plan in plans)
+    mlm, nsp, grads = [], [], None
+    for rows in _block_rows(encoded, model_config):
+        mlm_losses, nsp_losses, d_mlm, d_nsp, trace = _adaptation_losses(
+            encoded[rows], plans[rows], nsp_labels[rows], params, model_config
+        )
+        d_mlm *= 1.0 / masked
+        d_nsp *= 1.0 / len(encoded)
+        grads = backward(trace, params, np.zeros(len(nsp_losses)), d_nsp, d_mlm, grads)
+        del trace  # free this block's activations before the next forward
+        mlm.append(mlm_losses)
+        nsp.append(nsp_losses)
+    return _adaptation_objective(np.concatenate(mlm), np.concatenate(nsp)), grads
 
 
 def _validation_recall_at_1(pools: Sequence[Sequence[MatchingInstance]], params, model_config, vocab) -> float:
@@ -416,7 +445,7 @@ def train(
 
         if validation is not None:
             if phase == "adapt":
-                metric = _adaptation_validation_loss(*val_fixed, params, model_config, train_config)
+                metric = _adaptation_validation_loss(*val_fixed, params, model_config)
                 better = best_metric is None or metric < best_metric
             else:
                 metric = _validation_recall_at_1(validation, params, model_config, vocab)

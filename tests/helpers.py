@@ -8,7 +8,7 @@ from scipy.special import erf
 from replyrank.corpus import Utterance
 from replyrank.encoding import NUM_SPEAKER_ROLES, EncodedInput, MatchingInstance, build_input
 from replyrank.model import Batch, ModelConfig, backward, forward_batch, stack_inputs
-from replyrank.tokenizer import NUM_SPECIALS, PAD, Vocabulary, build_vocab
+from replyrank.tokenizer import CLS, NUM_SPECIALS, PAD, SEP, Vocabulary, build_vocab
 
 
 def detokenize(ids, vocab: Vocabulary) -> str:
@@ -62,6 +62,18 @@ def random_encoded(rng: np.random.Generator, vocab=VOCAB, max_len=32) -> Encoded
     response_text = " ".join(WORDS[int(rng.integers(len(WORDS)))] for _ in range(int(rng.integers(1, 6))))
     response = Utterance(index=n_utts, spoken_from="s1", spoken_to=None, text=response_text)
     return build_input(context, response, int(rng.integers(1, NUM_SPEAKER_ROLES)), vocab, max_len)
+
+
+def full_length_input(rng, length, vocab_size):
+    """A two-segment input of exactly ``length`` positions with random content and speakers."""
+    half = length // 2
+    tokens = [CLS] + [int(t) for t in rng.integers(NUM_SPECIALS, vocab_size, size=length - 3)] + [SEP]
+    tokens.insert(half, SEP)
+    return EncodedInput(
+        token_ids=tuple(tokens),
+        segment_ids=tuple([0] * (half + 1) + [1] * (length - half - 1)),
+        speaker_ids=tuple(int(s) for s in rng.integers(0, 3, size=length)),
+    )
 
 
 def widen(batch: Batch, width: int) -> Batch:

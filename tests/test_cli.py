@@ -272,12 +272,13 @@ class TestTrainingCommands:
             {"train": {"weight_decay": 0.01}},
             {"train": {"learning_rate": float("nan")}},
             {"train": {"learning_rate": float("inf")}},
+            {"train": {"max_epochs": 1}, "fintune": {"max_epochs": 40}},
         ],
         ids=["train-list", "train-int", "adapt-list", "model-list", "batch-size", "max-epochs", "seed",
              "max-seq-len", "speaker-roles", "weight-decay", "mlm-weight", "model-seed", "dropout-rate",
              "batch-size-bool", "num-layers-bool", "freeze-flag-string", "learning-rate-bool",
              "adapt-seed", "finetune-freeze-flag", "mask-fraction", "weight-decay-default",
-             "learning-rate-nan", "learning-rate-infinity"],
+             "learning-rate-nan", "learning-rate-infinity", "fintune"],
     )
     def test_malformed_config_is_usage_error(self, workdir, capsys, config):
         (workdir / "config.json").write_text(json.dumps(config))
@@ -286,6 +287,25 @@ class TestTrainingCommands:
         assert err.startswith("usage error: ")
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_unknown_section_is_named_before_data_loads(self, workdir, capsys):
+        (workdir / "config.json").write_text(json.dumps({"train": {"max_epochs": 1}, "fintune": {"max_epochs": 40}}))
+        code, err = self._rejected_before_training(workdir, capsys, "finetune", workdir / "missing.tsv")
+        assert code == 1
+        assert err.startswith("usage error: unknown config section 'fintune'")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "section, key, value, flag",
+        [("adapt", "seed", 5, "--seed"), ("train", "freeze_speaker_table", True, "--no-speaker-embeddings")],
+    )
+    def test_flag_setting_in_config_names_its_flag(self, workdir, capsys, section, key, value, flag):
+        (workdir / "config.json").write_text(json.dumps({section: {key: value}}))
+        code, err = self._rejected_before_training(workdir, capsys, "adapt", workdir / "train.tsv")
+        assert code == 1
+        assert err.startswith("usage error: ")
+        assert key in err and flag in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_no_adaptation_flag_is_usage_error(self, workdir, capsys):
         code, err = self._rejected_before_training(
@@ -431,6 +451,29 @@ class TestShippedConfigs:
         train = {**sections["train"], **sections.get(phase, {})}
         assert {key: getattr(train_config, key) for key in train} == train
         assert {key: getattr(model_config, key) for key in sections["model"]} == sections["model"]
+
+    def test_default_config_adapts_then_finetunes(self, tmp_path):
+        # about 150 positions a row: at the default dimensions each step runs in 1-row blocks
+        rng = np.random.default_rng(0)
+        words = ["w%02d" % i for i in range(40)]
+
+        def utterance():
+            return " ".join(rng.choice(words, 12))
+
+        data = tmp_path / "long.tsv"
+        data.write_text("".join("%d\t%s\t%s\n" % (label, "\t".join(utterance() for _ in range(10)), utterance())
+                                for label in (1, 1, 0, 1)))
+        vocab, adapted, final = tmp_path / "vocab.txt", tmp_path / "adapted.npz", tmp_path / "final.npz"
+        config = REPO / "configs" / "default.json"
+        assert run("build-vocab", "--input", data, "--out", vocab) == 0
+        assert run("adapt", "--data", data, "--vocab", vocab, "--config", config,
+                   "--checkpoint-out", adapted, "--loss-log", tmp_path / "adapt.csv") == 0
+        assert run("finetune", "--data", data, "--vocab", vocab, "--config", config, "--checkpoint-in", adapted,
+                   "--checkpoint-out", final, "--loss-log", tmp_path / "finetune.csv") == 0
+        epochs = json.loads(config.read_text())["train"]["max_epochs"]
+        for log in ("adapt.csv", "finetune.csv"):
+            assert len((tmp_path / log).read_text().splitlines()) == 1 + epochs  # one step per epoch
+        assert load_checkpoint(final)[0].max_seq_len == 512
 
 
 class TestAllocator:

@@ -16,9 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from replyrank.encoding import EncodedInput
 from replyrank.model import ModelConfig, backward, forward_batch, init_params, score_batch, stack_inputs
-from replyrank.tokenizer import CLS, NUM_SPECIALS, SEP
 from replyrank.training import _adaptation_batch, _finetune_batch, apply_masking, plan_masking
 from helpers import (
     VOCAB,
@@ -26,6 +24,7 @@ from helpers import (
     dense_adaptation_reference,
     every_position,
     finetune_loss,
+    full_length_input,
     random_encoded,
     tiny_model_config,
 )
@@ -153,17 +152,6 @@ class TestReadRows:
         reads = 1 + max(len(plan) for plan in plans)  # masked positions are never [CLS] and never repeat
         assert [attn.shape for attn in trace.attention_weights] == [(b, heads, l, l), (b, heads, reads, l)]
         assert trace.final_hidden.shape == (b, reads, CONFIG.hidden_dim)
-
-
-def full_length_input(rng, length, vocab_size):
-    half = length // 2
-    tokens = [CLS] + [int(t) for t in rng.integers(NUM_SPECIALS, vocab_size, size=length - 3)] + [SEP]
-    tokens.insert(half, SEP)
-    return EncodedInput(
-        token_ids=tuple(tokens),
-        segment_ids=tuple([0] * (half + 1) + [1] * (length - half - 1)),
-        speaker_ids=tuple(int(s) for s in rng.integers(0, 3, size=length)),
-    )
 
 
 def test_finetune_step_at_default_dimensions_stays_under_memory_bound():

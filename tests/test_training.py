@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from replyrank import training
 from replyrank.encoding import EncodedInput
 from replyrank.model import ModelConfig, init_params
 from replyrank.tokenizer import CLS, EOT, EOU, MASK, NUM_SPECIALS, PAD, SEP
@@ -338,7 +339,7 @@ class TestTrain:
 
 
 class TestAdaptationValidation:
-    def test_chunked_loss_equals_one_batch(self):
+    def test_chunked_loss_equals_one_batch(self, monkeypatch):
         vocab = topic_vocab()
         instances = topic_instances(np.random.default_rng(2), 23)
         config = ModelConfig(vocab_size=len(vocab), hidden_dim=16, num_layers=2, num_heads=2,
@@ -346,15 +347,14 @@ class TestAdaptationValidation:
         params = init_params(config, np.random.default_rng(4))
         draw = _corrupted_pairs(instances, [inst.response for inst in instances], vocab, 32,
                                 np.random.default_rng(6))
-        tc = TrainConfig(batch_size=5)
         whole, _ = _adaptation_batch(*draw, params, config)
-        chunked = _adaptation_validation_loss(*draw, params, config, tc)
+        monkeypatch.setattr(training, "BLOCK_BYTES", 1)  # one row per block
+        chunked = _adaptation_validation_loss(*draw, params, config)
         assert abs(chunked - whole) <= 1e-12
 
     def test_memory_does_not_grow_with_validation_size(self):
         toy = json.loads((Path(__file__).resolve().parent.parent / "configs" / "toy.json").read_text())
         config = ModelConfig(vocab_size=len(VOCAB), **toy["model"])
-        tc = TrainConfig(**toy["train"])
         params = init_params(config, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         content = config.max_seq_len - 2
@@ -375,7 +375,7 @@ class TestAdaptationValidation:
         for draw in draws:
             tracemalloc.start()
             try:
-                _adaptation_validation_loss(*draw, params, config, tc)
+                _adaptation_validation_loss(*draw, params, config)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
