@@ -19,12 +19,17 @@ import platform
 import resource
 import sys
 import time
+import warnings
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
+# numpy loads numpy.random on first use, and zipfile loads the cp437 codec
+# on the first checkpoint read.  Loading both with the CLI keeps those imports
+# (numpy.random's is about 10 ms of file reads) out of the commands' own time.
+import encodings.cp437  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .corpus import CandidatePool, CorpusError, DialogueExample, extract_spoken_to, load_channel, write_channel
 from .disentangle import DEFAULT_CONTEXT_CAP, cap_context, filter_channel
@@ -122,23 +127,27 @@ def _environment() -> dict:
 
     GEMM results can differ in the last bits between OpenBLAS kernels and
     thread counts, so a replay needs them.  They are read through ctypes from
-    the ``libscipy_openblas64_`` bundled with numpy's wheels; each is null
-    where that library or function is missing.
+    the OpenBLAS bundled with numpy's wheels; each is null where that library
+    or function is missing.
     """
     openblas_config = openblas_threads = None
     numpy_dir = Path(np.__file__).parent
-    bundled = sorted(numpy_dir.parent.glob("numpy.libs/libscipy_openblas64_*"))
-    bundled += sorted(numpy_dir.glob(".dylibs/libscipy_openblas64_*"))
+    bundled = sorted(numpy_dir.parent.glob("numpy.libs/lib*openblas*"))
+    bundled += sorted(numpy_dir.glob(".dylibs/lib*openblas*"))
     try:
         lib = ctypes.CDLL(str(bundled[0])) if bundled else None
     except OSError:
         lib = None
-    get_config = getattr(lib, "scipy_openblas_get_config64_", None)
+    # the file name carries the symbols' prefix and suffix:
+    # lib<prefix>openblas64_-<hash>.so exports <prefix>openblas_get_config64_
+    name = bundled[0].name if bundled else ""
+    prefix, suffix = name[3 : name.find("openblas")], "64_" if "openblas64_" in name else ""
+    get_config = getattr(lib, prefix + "openblas_get_config" + suffix, None)
     if get_config is not None:
         get_config.argtypes = []
         get_config.restype = ctypes.c_char_p
         openblas_config = get_config().decode()
-    get_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    get_threads = getattr(lib, prefix + "openblas_get_num_threads" + suffix, None)
     if get_threads is not None:
         get_threads.argtypes = []
         get_threads.restype = ctypes.c_int
@@ -146,7 +155,6 @@ def _environment() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "openblas_config": openblas_config,
         "openblas_threads": openblas_threads,
     }
@@ -443,13 +451,20 @@ def cmd_evaluate(args) -> int:
         raise CorpusError("checkpoint vocab size %d does not match vocabulary %d"
                           % (model_config.vocab_size, len(vocab)))
     pools = _load_instance_pools(args.pools, disentangle=not args.no_disentangle, cap=args.cap)
+    unanswered = sum(not any(inst.label == 1 for inst in pool) for pool in pools)
+    if unanswered == len(pools):
+        raise CorpusError("no pool in %s has a positive candidate" % args.pools)
+    if unanswered:
+        print("warning: %d of %d pools have no positive candidate; every metric leaves them out"
+              % (unanswered, len(pools)), file=sys.stderr)
     scores = score_pools(pools, params, model_config, vocab)
     ranked = [rank_scores(s, [inst.label for inst in pool]) for s, pool in zip(scores, pools)]
     cutoffs = _parse_recall_cutoffs(args.recall, pools)
     threshold = None
     if args.threshold_sweep:
         threshold = select_threshold(ranked, DEFAULT_THRESHOLD_GRID)
-    report = compute_report(ranked, cutoffs, threshold)
+    # the no-answer threshold is chosen on every pool; the metrics are those of the answered ones
+    report = compute_report([pool for pool in ranked if pool.has_answer], cutoffs, threshold)
     text = format_report(report)
     print(text)
     if args.out:
@@ -569,24 +584,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a library warning as one ``warning:`` line on stderr, without its source line."""
+    print("warning: %s" % message, file=sys.stderr)
+
+
 def main(argv=None) -> int:
     _keep_freed_memory()
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except (CorpusError, CheckpointError, VocabularyError, OSError, json.JSONDecodeError) as exc:
-        print("data error: %s" % exc, file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except (NumericError, TrainingDiverged) as exc:
-        print("numeric failure: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERIC
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except UsageError as exc:
+            print("usage error: %s" % exc, file=sys.stderr)
+            return EXIT_USAGE
+        except (CorpusError, CheckpointError, VocabularyError, OSError, json.JSONDecodeError) as exc:
+            print("data error: %s" % exc, file=sys.stderr)
+            return EXIT_DATA
+        except ValueError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return EXIT_USAGE
+        except (NumericError, TrainingDiverged) as exc:
+            print("numeric failure: %s" % exc, file=sys.stderr)
+            return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

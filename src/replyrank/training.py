@@ -17,11 +17,10 @@ from pathlib import Path
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
 from .encoding import EncodedInput, MatchingInstance, build_input, encode_instance
 from .evaluation import rank_scores, recall_at_k
-from .model import ModelConfig, _is_int, backward, forward_batch, stack_inputs
+from .model import ModelConfig, _is_int, backward, forward_batch, sigmoid, stack_inputs
 from .tokenizer import MASK, NUM_SPECIALS, UNK, Vocabulary
 from .corpus import Utterance
 
@@ -176,11 +175,19 @@ def _corrupted_pairs(
 
 
 def _softmax_ce_rows(logits: np.ndarray, targets: np.ndarray):
-    """Cross-entropy and its logit gradient for rows of logits."""
-    log_z = logsumexp(logits, axis=-1)
-    losses = log_z - logits[np.arange(len(targets)), targets]
-    probs = np.exp(logits - log_z[:, None])
-    probs[np.arange(len(targets)), targets] -= 1.0
+    """Cross-entropy and its logit gradient for rows of logits.
+
+    One exp pass over the max-shifted logits gives both each row's
+    log-sum-exp and its softmax probabilities.
+    """
+    picked = np.arange(len(targets)), targets
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    losses = -shifted[picked]
+    probs = np.exp(shifted, out=shifted)
+    total = probs.sum(axis=-1, keepdims=True)
+    losses += np.log(total[:, 0])
+    probs /= total
+    probs[picked] -= 1.0
     return losses, probs
 
 
@@ -244,17 +251,24 @@ def linear_lr(base_lr: float, step: int, total_steps: int) -> float:
 # --- training loop -------------------------------------------------------------
 
 
-# The activation budget of one training forward.  A step runs as consecutive
-# row blocks sized to it (``_block_rows``), and the blocks' gradients are added
-# up before the step's single update; a step that fits is one block.
+# The bytes a row block may spend on one layer's attention weights and
+# feed-forward activations (``_block_rows``).  A step runs as consecutive row
+# blocks sized to it, and the blocks' gradients are added up before the step's
+# single update; a step that fits is one block.  It is not a block's memory:
+# the trace keeps every layer's activations and backward adds temporaries, so
+# one 512-position row at configs/default.json dimensions peaks at about
+# 124 MB against its 18.9 MB count here.
 BLOCK_BYTES = 3 * 2**20
 
 
 def _block_rows(encoded: Sequence[EncodedInput], model_config: ModelConfig) -> list[slice]:
-    """Consecutive row slices whose attention and feed-forward activations fit ``BLOCK_BYTES``.
+    """Consecutive row slices whose count of one layer's activations fits ``BLOCK_BYTES``.
 
-    A row costs ``8 * (num_heads * w * w + ffn_dim * w)`` bytes, with ``w``
-    the widest input of the step; a block holds at least one row.
+    A row counts ``8 * (num_heads * w * w + ffn_dim * w)`` bytes, with ``w``
+    the widest input of the step: the float64 attention weights and
+    feed-forward activations of a single layer, not the other layers, the
+    rest of the trace or backward's temporaries.  A block holds at least one
+    row.
     """
     w = max(len(enc) for enc in encoded)
     size = max(1, BLOCK_BYTES // (8 * (model_config.num_heads * w * w + model_config.ffn_dim * w)))
@@ -267,7 +281,7 @@ def _finetune_batch(encoded: list[EncodedInput], labels: np.ndarray, params, mod
     for rows in _block_rows(encoded, model_config):
         match_logits, mlm_logits, _, trace = forward_batch(stack_inputs(encoded[rows]), params, model_config)
         losses[rows] = np.logaddexp(0.0, match_logits) - labels[rows] * match_logits
-        d_match = (expit(match_logits) - labels[rows]) / len(labels)
+        d_match = (sigmoid(match_logits) - labels[rows]) / len(labels)
         d_nsp = np.zeros((len(match_logits), 2))
         grads = backward(trace, params, d_match, d_nsp, np.zeros_like(mlm_logits), grads)
         del trace  # free this block's activations before the next forward

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
 
 from replyrank.corpus import Utterance
 from replyrank.encoding import NUM_SPEAKER_ROLES, EncodedInput, MatchingInstance, build_input
@@ -97,15 +96,25 @@ def reference_attention(q: np.ndarray, k: np.ndarray, attention_mask: np.ndarray
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
+def _tanh_cdf(x: np.ndarray) -> np.ndarray:
+    """The tanh approximation of the normal CDF in BERT's GELU (Hendrycks & Gimpel 2016)."""
+    return 0.5 * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x * x * x)))
+
+
 def reference_gelu(x: np.ndarray) -> np.ndarray:
-    """GELU as one expression: the oracle for ``model._gelu``."""
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    """Tanh-form GELU as one expression: the oracle for ``model._gelu``."""
+    return x * _tanh_cdf(x)
 
 
 def reference_gelu_grad(x: np.ndarray) -> np.ndarray:
-    """GELU's derivative with its own erf: the oracle for ``model._gelu_grad``."""
-    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-    return cdf + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    """Tanh-form GELU's derivative with its own CDF: the oracle for ``model._gelu_grad``.
+
+    ``0.5 * sech(u)**2`` is written ``2 * cdf * (1 - cdf)``, as in the model, so the
+    two agree bitwise; ``TestGelu`` checks that form against ``sech**2`` and
+    finite differences.
+    """
+    cdf = _tanh_cdf(x)
+    return cdf + 2.0 * x * cdf * (1.0 - cdf) * np.sqrt(2.0 / np.pi) * (1.0 + 3.0 * 0.044715 * x * x)
 
 
 def every_position(batch: Batch) -> tuple[np.ndarray, np.ndarray]:

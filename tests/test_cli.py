@@ -69,6 +69,14 @@ class TestBuildVocab:
     def test_unknown_flag_is_usage_error(self):
         assert run("build-vocab", "--frobnicate") == 1
 
+    def test_empty_vocabulary_is_one_warning_line(self, workdir, capsys):
+        out = workdir / "v.txt"
+        assert run("build-vocab", "--input", workdir / "train.tsv", "--min-count", "100000", "--out", out) == 0
+        assert capsys.readouterr().err == (
+            "warning: vocabulary contains no content tokens (empty or too-sparse corpus)\n"
+        )
+        assert out.read_text().splitlines() == list(SPECIAL_TOKENS)
+
 
 class TestDisentangle:
     def test_filters_and_annotates_roles(self, tmp_path):
@@ -430,12 +438,15 @@ class TestTrainingCommands:
         assert run("adapt", "--data", workdir / "train.tsv", "--vocab", vocab,
                    "--config", workdir / "config.json", "--checkpoint-out", out, "--seed", "1") == 0
         environment = json.loads((workdir / "a.npz.manifest.json").read_text())["environment"]
-        assert set(environment) == {"python", "numpy", "scipy", "openblas_config", "openblas_threads"}
+        assert set(environment) == {"python", "numpy", "openblas_config", "openblas_threads"}
         assert environment["numpy"] == np.__version__
-        assert all(isinstance(environment[key], str) and environment[key] for key in ("python", "numpy", "scipy"))
+        assert all(isinstance(environment[key], str) and environment[key] for key in ("python", "numpy"))
         assert environment["openblas_config"] is None or environment["openblas_config"].startswith("OpenBLAS")
         threads = environment["openblas_threads"]
         assert threads is None or (isinstance(threads, int) and threads >= 1)
+        if list(Path(np.__file__).parent.parent.glob("numpy.libs/lib*openblas*")):
+            # a bundled OpenBLAS is found and its symbols named from its file name
+            assert environment["openblas_config"] is not None and threads is not None
 
 
 class TestShippedConfigs:
@@ -661,18 +672,82 @@ class TestEvaluate:
         assert err.startswith("data error: checkpoint %s: %s" % (bad, message))
         assert len(err.strip().splitlines()) == 1
 
-    def test_format_1_checkpoint_is_data_error(self, workdir, capsys):
+    def _evaluate_with_format(self, workdir, capsys, version):
+        """Exit code and stderr of ``evaluate`` on an untrained checkpoint relabelled as ``version``."""
         pools = workdir / "good.jsonl"
         self._write_pools(pools, [2])
         vocab, ckpt = self._untrained(workdir, pools)
         with np.load(ckpt) as archive:
             entries = {name: archive[name] for name in archive.files}
         meta = json.loads(str(entries.pop("__meta__")))
-        old = workdir / "format1.npz"
-        np.savez(old, __meta__=np.array(json.dumps({**meta, "format": 1})), **entries)
+        old = workdir / ("format%d.npz" % version)
+        np.savez(old, __meta__=np.array(json.dumps({**meta, "format": version})), **entries)
         capsys.readouterr()
-        assert run("evaluate", "--pools", pools, "--checkpoint", old, "--vocab", vocab) == 2
-        assert capsys.readouterr().err == "data error: unsupported checkpoint format 1\n"
+        code = run("evaluate", "--pools", pools, "--checkpoint", old, "--vocab", vocab)
+        return code, capsys.readouterr().err
+
+    def test_format_1_checkpoint_is_data_error(self, workdir, capsys):
+        assert self._evaluate_with_format(workdir, capsys, 1) == (2, "data error: unsupported checkpoint format 1\n")
+
+    def test_format_3_checkpoint_is_data_error(self, workdir, capsys):
+        # format-3 weights were trained under the erf form of GELU; format 4 uses the tanh form
+        assert CHECKPOINT_FORMAT == 4
+        assert self._evaluate_with_format(workdir, capsys, 3) == (2, "data error: unsupported checkpoint format 3\n")
+
+    @staticmethod
+    def _toy_pools(path, unanswered):
+        """The toy test pools, with every label of the pools numbered in ``unanswered`` set to 0."""
+        lines, pool = [], 0
+        for line in (DATA_DIR / "test_pools.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            if "candidates" in record:
+                if pool in unanswered:
+                    record["candidates"] = [{**c, "label": 0} for c in record["candidates"]]
+                pool += 1
+            lines.append(json.dumps(record) + "\n")
+        path.write_text("".join(lines))
+        return pool
+
+    def test_pool_without_positive_is_one_warning_line(self, workdir, capsys):
+        pools = workdir / "one_unanswered.jsonl"
+        count = self._toy_pools(pools, {0})
+        vocab, ckpt = self._untrained(workdir, pools)
+        capsys.readouterr()
+        assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: 1 of %d pools have no positive candidate; every metric leaves them out\n" % count
+        )
+        # the report is that of the answered pools alone
+        answered = workdir / "answered.jsonl"
+        lines = pools.read_text().splitlines(True)
+        first_pool_end = next(i for i, line in enumerate(lines) if "candidates" in line)
+        answered.write_text("".join(lines[first_pool_end + 1:]))
+        assert run("evaluate", "--pools", answered, "--checkpoint", ckpt, "--vocab", vocab) == 0
+        assert capsys.readouterr().out == captured.out
+
+    def test_pools_without_any_positive_are_data_error(self, workdir, capsys):
+        pools = workdir / "unanswered.jsonl"
+        self._toy_pools(pools, set(range(100)))  # every pool: the file holds 16
+        vocab, ckpt = self._untrained(workdir, pools)
+        capsys.readouterr()
+        assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab) == 2
+        assert capsys.readouterr().err == "data error: no pool in %s has a positive candidate\n" % pools
+
+    def test_other_evaluation_warnings_are_one_line(self, workdir, capsys):
+        # R@2,1 reads the first two candidates; every other pool has its positive third
+        pools = workdir / "third.jsonl"
+        records = [json.loads(line) for line in (DATA_DIR / "test_pools.jsonl").read_text().splitlines()]
+        pool_records = [record for record in records if "candidates" in record]
+        for record in pool_records[::2]:
+            labels = [0, 0, 1] + [0] * (len(record["candidates"]) - 3)
+            record["candidates"] = [{**c, "label": y} for c, y in zip(record["candidates"], labels)]
+        pools.write_text("".join(json.dumps(record) + "\n" for record in records))
+        vocab, ckpt = self._untrained(workdir, pools)
+        capsys.readouterr()
+        assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab) == 0
+        dropped = len(pool_records[::2])
+        assert capsys.readouterr().err == "warning: recall_at_k: excluded %d pool(s) without positives\n" % dropped
 
     def test_records_after_last_pool_are_data_error(self, workdir, capsys):
         pools = workdir / "good.jsonl"

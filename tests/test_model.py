@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import erf, expit
 
 from replyrank.encoding import EncodedInput
 from replyrank.model import (
@@ -16,6 +17,7 @@ from replyrank.model import (
     param_shapes,
     save_checkpoint,
     score_batch,
+    sigmoid,
     stack_inputs,
     validate_params,
 )
@@ -189,6 +191,42 @@ class TestGelu:
         activation, cdf = _gelu(x)
         assert np.array_equal(activation, reference_gelu(x))
         assert np.array_equal(_gelu_grad(x, cdf), reference_gelu_grad(x))
+
+    def test_gradient_equals_sech_squared_form_and_finite_differences(self):
+        x = np.linspace(-8.0, 8.0, 16_001)
+        grad = _gelu_grad(x, _gelu(x)[1])
+        inner = np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)
+        sech2 = 1.0 / np.cosh(inner) ** 2
+        by_sech2 = 0.5 * (1.0 + np.tanh(inner)) + 0.5 * x * sech2 * np.sqrt(2.0 / np.pi) * (1.0 + 3 * 0.044715 * x**2)
+        np.testing.assert_allclose(grad, by_sech2, rtol=0, atol=1e-13)
+        h = 1e-5
+        central = (_gelu(x + h)[0] - _gelu(x - h)[0]) / (2 * h)
+        np.testing.assert_allclose(grad, central, rtol=0, atol=1e-9)
+
+    def test_tanh_form_stays_within_5e_4_of_erf_form(self):
+        # the tanh form's largest gap to the exact GELU is 4.7e-4, near x = 2.7
+        x = np.linspace(-12.0, 12.0, 240_001)
+        exact = 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+        gap = np.abs(_gelu(x)[0] - exact)
+        assert gap.max() < 5e-4
+        assert 2.5 < abs(x[gap.argmax()]) < 2.9
+
+
+class TestSigmoid:
+    def test_matches_expit_within_a_few_ulp(self):
+        x = np.concatenate([np.linspace(-745.0, 745.0, 1_000_001), [-0.0, 0.0, -1e-300, 1e-300]])
+        got, want = sigmoid(x), expit(x)
+        positive = want > 0
+        ulps = np.abs(got - want)[positive] / np.spacing(want[positive])
+        assert ulps.max() <= 4
+        # positive wherever expit is, and also below about -709.8, where expit underflows to 0
+        assert (got > 0).all()
+
+    def test_tiny_probabilities_do_not_round_to_zero(self):
+        # 0.5 * tanh(x / 2) + 0.5 is 0.0 here; the true value is 4.2e-18
+        assert sigmoid(-40.0) == expit(-40.0) > 0
+        assert sigmoid(0.0) == 0.5
+        assert sigmoid(745.0) == 1.0
 
 
 class TestScore:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, logsumexp
 
 from replyrank import training
 from replyrank.encoding import EncodedInput
@@ -19,6 +19,7 @@ from replyrank.training import (
     _adaptation_batch,
     _adaptation_validation_loss,
     _corrupted_pairs,
+    _softmax_ce_rows,
     adamw_step,
     apply_masking,
     build_nsp_pair,
@@ -220,6 +221,30 @@ class TestLosses:
     def test_match_head_gradient_at_zero_logit(self):
         # d(BCE)/d(logit) at logit 0, label 1 is sigma(0) - 1 = -0.5
         assert expit(0.0) - 1.0 == -0.5
+
+
+class TestSoftmaxCeRows:
+    @pytest.mark.parametrize("offset", [0.0, 1e3, -1e3])
+    def test_matches_logsumexp_oracle(self, rng, offset):
+        logits = offset + rng.normal(0.0, 4.0, size=(40, 300))
+        logits[0, :] = offset  # a flat row
+        logits[1, 5] = offset + 60.0  # one logit far above the rest, not the target
+        targets = rng.integers(0, 300, size=40)
+        targets[1] = 6
+        rows = np.arange(len(targets))
+        log_z = logsumexp(logits, axis=-1)
+        want_losses = log_z - logits[rows, targets]
+        want_grads = np.exp(logits - log_z[:, None])
+        want_grads[rows, targets] -= 1.0
+        losses, grads = _softmax_ce_rows(logits, targets)
+        np.testing.assert_allclose(losses, want_losses, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(grads, want_grads, rtol=1e-12, atol=1e-300)
+
+    def test_leaves_logits_alone(self, rng):
+        logits = rng.normal(size=(3, 7))
+        before = logits.copy()
+        _softmax_ce_rows(logits, np.array([0, 3, 6]))
+        assert np.array_equal(logits, before)
 
 
 class TestOptimizer:
