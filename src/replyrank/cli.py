@@ -45,7 +45,7 @@ from .model import (
     score_batch,
     stack_inputs,
 )
-from .tokenizer import Vocabulary, VocabularyError, build_vocab
+from .tokenizer import NUM_SPECIALS, Vocabulary, VocabularyError, build_vocab
 from .training import TrainConfig, TrainingDiverged, train, write_loss_log
 
 EXIT_OK = 0
@@ -351,6 +351,9 @@ def _prepare_training(args, phase: str):
     except (TypeError, ValueError) as exc:
         raise UsageError("bad train config: %s" % exc) from exc
     vocab = Vocabulary.load(args.vocab)
+    if phase == "adapt" and len(vocab) <= NUM_SPECIALS:
+        raise VocabularyError("vocabulary %s holds only the %d special tokens; adapt draws replacement tokens "
+                              "from its content tokens" % (args.vocab, NUM_SPECIALS))
 
     # the "model" section is checked even when a checkpoint supplies the model
     try:
@@ -424,14 +427,27 @@ def cmd_finetune(args) -> int:
 
 
 def _parse_recall_cutoffs(arg: str | None, pools: list[list[MatchingInstance]]) -> list[tuple[int, int]]:
+    """The R_n@k cutoffs to report: ``--recall``'s, else R@size,k for k in 1, 2, 5 and R@2,1.
+
+    R_n@k scores only pools with a positive among their first n candidates.
+    An explicit cutoff that no pool can score is a data error; the default
+    R@2,1 is then left out with a warning.
+    """
+    def scorable(n: int) -> bool:
+        return any(inst.label == 1 for pool in pools for inst in pool[:n])
+
     if arg:
         cutoffs = []
         for piece in arg.split(","):
             try:
-                n, k = piece.split(":")
-                cutoffs.append((int(n), int(k)))
+                n, k = (int(x) for x in piece.split(":"))
             except ValueError as exc:
                 raise UsageError("bad --recall entry %r, expected n:k" % piece) from exc
+            if not 1 <= k <= n:
+                raise UsageError("bad --recall entry %r, need 1 <= k <= n" % piece)
+            if not scorable(n):
+                raise CorpusError("R@%d,%d: no pool has a positive among its first %d candidates" % (n, k, n))
+            cutoffs.append((n, k))
         return cutoffs
     sizes = {len(pool) for pool in pools}
     if len(sizes) != 1:
@@ -439,7 +455,10 @@ def _parse_recall_cutoffs(arg: str | None, pools: list[list[MatchingInstance]]) 
     pool_size = sizes.pop()
     cutoffs = [(pool_size, k) for k in (1, 2, 5) if k <= pool_size]
     if pool_size >= 2:
-        cutoffs.append((2, 1))
+        if scorable(2):
+            cutoffs.append((2, 1))
+        else:
+            print("warning: R@2,1 left out: no pool has a positive among its first 2 candidates", file=sys.stderr)
     return cutoffs
 
 
@@ -457,9 +476,9 @@ def cmd_evaluate(args) -> int:
     if unanswered:
         print("warning: %d of %d pools have no positive candidate; every metric leaves them out"
               % (unanswered, len(pools)), file=sys.stderr)
+    cutoffs = _parse_recall_cutoffs(args.recall, pools)
     scores = score_pools(pools, params, model_config, vocab)
     ranked = [rank_scores(s, [inst.label for inst in pool]) for s, pool in zip(scores, pools)]
-    cutoffs = _parse_recall_cutoffs(args.recall, pools)
     threshold = None
     if args.threshold_sweep:
         threshold = select_threshold(ranked, DEFAULT_THRESHOLD_GRID)

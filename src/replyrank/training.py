@@ -6,6 +6,12 @@ of the reconstruction and pair-classification losses.  Phase two minimizes
 binary cross-entropy on the matching head.  Both phases share an Adam-style
 optimizer with decoupled weight decay and a learning rate decaying linearly
 to zero over the planned steps.
+
+Every step of either phase, and adaptation validation, is one call of
+``_objective``: it runs the batch in row blocks under ``BLOCK_BYTES`` with
+the phase's per-block loss (``_matching_block`` or ``_adaptation_block``)
+and adds the blocks' gradients.  The phases differ only in how a batch is
+drawn: cached encodings and labels, or a fresh corruption draw.
 """
 
 from __future__ import annotations
@@ -157,8 +163,8 @@ def _corrupted_pairs(
     vocab: Vocabulary,
     max_len: int,
     rng: np.random.Generator,
-) -> tuple[list[EncodedInput], list[list[MaskedPosition]], np.ndarray]:
-    """Pair and corrupt each instance: ``(masked encodings, plans, pair labels)``.
+) -> tuple[list[EncodedInput], tuple[list[list[MaskedPosition]], np.ndarray]]:
+    """Pair and corrupt each instance: ``(masked encodings, (plans, pair labels))``.
 
     Per instance, the pair draw comes before the masking draws.
     """
@@ -171,7 +177,7 @@ def _corrupted_pairs(
         encoded.append(apply_masking(enc, plan))
         plans.append(plan)
         labels.append(label)
-    return encoded, plans, np.array(labels)
+    return encoded, (plans, np.array(labels))
 
 
 def _softmax_ce_rows(logits: np.ndarray, targets: np.ndarray):
@@ -275,98 +281,58 @@ def _block_rows(encoded: Sequence[EncodedInput], model_config: ModelConfig) -> l
     return [slice(start, start + size) for start in range(0, len(encoded), size)]
 
 
-def _finetune_batch(encoded: list[EncodedInput], labels: np.ndarray, params, model_config):
-    """The mean matching loss on one batch and its gradients, block by block: ``(loss, grads)``."""
-    losses, grads = np.empty(len(labels)), None
-    for rows in _block_rows(encoded, model_config):
-        match_logits, mlm_logits, _, trace = forward_batch(stack_inputs(encoded[rows]), params, model_config)
-        losses[rows] = np.logaddexp(0.0, match_logits) - labels[rows] * match_logits
-        d_match = (sigmoid(match_logits) - labels[rows]) / len(labels)
-        d_nsp = np.zeros((len(match_logits), 2))
-        grads = backward(trace, params, d_match, d_nsp, np.zeros_like(mlm_logits), grads)
-        del trace  # free this block's activations before the next forward
-    return float(losses.mean()), grads
+def _matching_block(encoded: list[EncodedInput], labels: np.ndarray, rows: slice, params, model_config):
+    """Matching cross-entropy on rows ``rows`` of a batch: ``((losses,), trace, head gradients)``.
 
-
-def _adaptation_losses(
-    encoded: list[EncodedInput],
-    plans: list[list[MaskedPosition]],
-    nsp_labels: np.ndarray,
-    params,
-    model_config,
-):
-    """Adaptation losses on one batch: ``(mlm_losses, nsp_losses, d_mlm, d_nsp, trace)``.
-
-    ``mlm_losses`` holds one cross-entropy per masked position, in plan
-    order, and ``nsp_losses`` one per pair; ``d_mlm`` and ``d_nsp`` are
-    their logit gradients, row by row.  Vocabulary logits are computed only
-    at the masked positions.
+    The head gradients are ``backward``'s ``(d_match, d_nsp, d_mlm)``; the
+    match gradient is divided by the whole batch's row count.
     """
-    rows = np.repeat(np.arange(len(plans)), [len(plan) for plan in plans])
-    cols = np.array([pos.index for plan in plans for pos in plan])
-    targets = np.array([pos.original_id for plan in plans for pos in plan])
-    batch = stack_inputs(encoded)
-    _, mlm_logits, nsp_logits, trace = forward_batch(batch, params, model_config, (rows, cols))
-    mlm_losses, d_mlm = _softmax_ce_rows(mlm_logits, targets)
-    nsp_losses, d_nsp = _softmax_ce_rows(nsp_logits, nsp_labels)
-    return mlm_losses, nsp_losses, d_mlm, d_nsp, trace
+    match_logits, mlm_logits, _, trace = forward_batch(stack_inputs(encoded[rows]), params, model_config)
+    losses = np.logaddexp(0.0, match_logits) - labels[rows] * match_logits
+    d_match = (sigmoid(match_logits) - labels[rows]) / len(labels)
+    return (losses,), trace, (d_match, np.zeros((len(match_logits), 2)), np.zeros_like(mlm_logits))
 
 
-def _adaptation_objective(mlm_losses: np.ndarray, nsp_losses: np.ndarray) -> float:
-    """The sum of the mean masked-token loss and the mean pair loss."""
-    return float(mlm_losses.mean() + nsp_losses.mean())
+def _adaptation_block(encoded: list[EncodedInput], targets, rows: slice, params, model_config):
+    """Masked-token and pair cross-entropy on rows ``rows`` of a batch, as ``_matching_block`` returns them.
 
-
-def _adaptation_validation_loss(
-    encoded: list[EncodedInput],
-    plans: list[list[MaskedPosition]],
-    nsp_labels: np.ndarray,
-    params,
-    model_config,
-) -> float:
-    """The adaptation objective over a fixed validation draw.
-
-    The draw is scored in the row blocks a training step would use, so
-    memory does not grow with the validation set; the per-position and
-    per-pair losses of all blocks make up one masked-token mean and one pair
-    mean.
+    ``targets`` is ``(plans, pair labels)`` for the whole batch.  The
+    masked-token losses come one per plan position, in plan order, and the
+    vocabulary logits only at those positions.  The pair gradient is divided
+    by the batch's row count and the masked-token gradient by its total
+    masked positions, whatever the blocks.
     """
-    mlm, nsp = [], []
-    for rows in _block_rows(encoded, model_config):
-        # keep only the losses, so one block's trace is freed before the next is built
-        mlm_losses, nsp_losses = _adaptation_losses(
-            encoded[rows], plans[rows], nsp_labels[rows], params, model_config
-        )[:2]
-        mlm.append(mlm_losses)
-        nsp.append(nsp_losses)
-    return _adaptation_objective(np.concatenate(mlm), np.concatenate(nsp))
+    plans, nsp_labels = targets
+    block = plans[rows]
+    mlm_rows = np.repeat(np.arange(len(block)), [len(plan) for plan in block])
+    cols = np.array([pos.index for plan in block for pos in plan])
+    original = np.array([pos.original_id for plan in block for pos in plan])
+    batch = stack_inputs(encoded[rows])
+    _, mlm_logits, nsp_logits, trace = forward_batch(batch, params, model_config, (mlm_rows, cols))
+    mlm_losses, d_mlm = _softmax_ce_rows(mlm_logits, original)
+    nsp_losses, d_nsp = _softmax_ce_rows(nsp_logits, nsp_labels[rows])
+    d_mlm *= 1.0 / sum(len(plan) for plan in plans)
+    d_nsp *= 1.0 / len(plans)
+    return (mlm_losses, nsp_losses), trace, (np.zeros(len(nsp_losses)), d_nsp, d_mlm)
 
 
-def _adaptation_batch(
-    encoded: list[EncodedInput],
-    plans: list[list[MaskedPosition]],
-    nsp_labels: np.ndarray,
-    params,
-    model_config,
-):
-    """The adaptation objective on one batch and its gradients, block by block: ``(loss, grads)``.
+def _objective(block_loss, encoded: list[EncodedInput], targets, params, model_config, backprop: bool = True):
+    """A phase's loss on one batch, and its gradients when ``backprop``: ``(loss, grads)``.
 
-    The pair gradient is divided by the batch's row count and the
-    masked-token gradient by its total masked positions, whatever the blocks.
+    The batch runs in the row blocks of ``_block_rows``; ``block_loss`` (a
+    ``*_block`` function) scores one.  The loss is the sum over heads of
+    each head's mean over the whole batch.  Each block's gradients are added
+    into the step's one gradient dict before its trace is freed; without
+    ``backprop`` nothing is differentiated and ``grads`` is None.
     """
-    masked = sum(len(plan) for plan in plans)
-    mlm, nsp, grads = [], [], None
+    heads, grads = [], None
     for rows in _block_rows(encoded, model_config):
-        mlm_losses, nsp_losses, d_mlm, d_nsp, trace = _adaptation_losses(
-            encoded[rows], plans[rows], nsp_labels[rows], params, model_config
-        )
-        d_mlm *= 1.0 / masked
-        d_nsp *= 1.0 / len(encoded)
-        grads = backward(trace, params, np.zeros(len(nsp_losses)), d_nsp, d_mlm, grads)
-        del trace  # free this block's activations before the next forward
-        mlm.append(mlm_losses)
-        nsp.append(nsp_losses)
-    return _adaptation_objective(np.concatenate(mlm), np.concatenate(nsp)), grads
+        losses, trace, d_heads = block_loss(encoded, targets, rows, params, model_config)
+        if backprop:
+            grads = backward(trace, params, *d_heads, grads)
+        del trace, d_heads  # free this block's activations before the next forward
+        heads.append(losses)
+    return float(sum(np.concatenate(head).mean() for head in zip(*heads))), grads
 
 
 def _validation_recall_at_1(pools: Sequence[Sequence[MatchingInstance]], params, model_config, vocab) -> float:
@@ -423,10 +389,18 @@ def train(
             val_fixed = _corrupted_pairs(
                 validation, response_pool, vocab, max_len, np.random.default_rng(train_config.seed + 104729)
             )
+        block_loss = _adaptation_block
+
+        def draw(batch_idx):
+            return _corrupted_pairs([instances[j] for j in batch_idx], response_pool, vocab, max_len, rng)
     else:
         instances = list(dataset)
         encoded_cache = [encode_instance(inst, vocab, max_len) for inst in instances]
         labels_cache = np.array([inst.label for inst in instances], dtype=float)
+        block_loss = _matching_block
+
+        def draw(batch_idx):
+            return [encoded_cache[j] for j in batch_idx], labels_cache[batch_idx]
 
     steps_per_epoch = math.ceil(len(instances) / train_config.batch_size)
     total_steps = steps_per_epoch * train_config.max_epochs
@@ -443,14 +417,7 @@ def train(
         for start in range(0, len(instances), train_config.batch_size):
             batch_idx = order[start : start + train_config.batch_size]
             lr = linear_lr(train_config.learning_rate, step, total_steps)
-            if phase == "finetune":
-                loss, grads = _finetune_batch(
-                    [encoded_cache[j] for j in batch_idx], labels_cache[batch_idx],
-                    params, model_config,
-                )
-            else:
-                corrupted = _corrupted_pairs([instances[j] for j in batch_idx], response_pool, vocab, max_len, rng)
-                loss, grads = _adaptation_batch(*corrupted, params, model_config)
+            loss, grads = _objective(block_loss, *draw(batch_idx), params, model_config)
             if not math.isfinite(loss):
                 raise TrainingDiverged("non-finite loss at step %d" % step)
             adamw_step(params, grads, state, lr, WEIGHT_DECAY, frozen=frozen)
@@ -459,7 +426,7 @@ def train(
 
         if validation is not None:
             if phase == "adapt":
-                metric = _adaptation_validation_loss(*val_fixed, params, model_config)
+                metric = _objective(block_loss, *val_fixed, params, model_config, backprop=False)[0]
                 better = best_metric is None or metric < best_metric
             else:
                 metric = _validation_recall_at_1(validation, params, model_config, vocab)

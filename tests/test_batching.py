@@ -11,7 +11,14 @@ from replyrank import cli, training
 from replyrank.encoding import EncodedInput, encode_instance
 from replyrank.model import Batch, init_params, score_batch, stack_inputs
 from replyrank.tokenizer import CLS, PAD, SEP
-from replyrank.training import MASK_FRACTION, _adaptation_batch, _finetune_batch, apply_masking, plan_masking
+from replyrank.training import (
+    MASK_FRACTION,
+    _adaptation_block,
+    _matching_block,
+    _objective,
+    apply_masking,
+    plan_masking,
+)
 from helpers import VOCAB, random_encoded, tiny_model_config, topic_pools, topic_vocab, widen
 
 TOLERANCE = 1e-12
@@ -66,12 +73,14 @@ class TestPaddingInvariance:
         plans = [plan_masking(enc, VOCAB, MASK_FRACTION, rng) for enc in inputs]
         masked = [apply_masking(enc, plan) for enc, plan in zip(inputs, plans)]
         nsp_labels = rng.integers(0, 2, size=size)
-        loss, grads = _finetune_batch(inputs, labels, params, CONFIG)
-        adapt_loss, adapt_grads = _adaptation_batch(masked, plans, nsp_labels, params, CONFIG)
+        loss, grads = _objective(_matching_block, inputs, labels, params, CONFIG)
+        adapt_loss, adapt_grads = _objective(_adaptation_block, masked, (plans, nsp_labels), params, CONFIG)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(training, "stack_inputs", stack_wide)
-            padded_loss, padded_grads = _finetune_batch(inputs, labels, params, CONFIG)
-            padded_adapt_loss, padded_adapt_grads = _adaptation_batch(masked, plans, nsp_labels, params, CONFIG)
+            padded_loss, padded_grads = _objective(_matching_block, inputs, labels, params, CONFIG)
+            padded_adapt_loss, padded_adapt_grads = _objective(
+                _adaptation_block, masked, (plans, nsp_labels), params, CONFIG
+            )
         assert_close(loss, padded_loss)
         for name in grads:
             assert_close(grads[name], padded_grads[name])

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from replyrank import cli
 from replyrank.cli import _prepare_training, build_parser, main
 from replyrank.model import CHECKPOINT_FORMAT, load_checkpoint
 from replyrank.tokenizer import SPECIAL_TOKENS
@@ -159,6 +160,26 @@ class TestTrainingCommands:
         # a fresh seed-0 init once adaptation has moved them
         _, adapted_params = load_checkpoint(adapted)
         assert not np.array_equal(params["token_table"], adapted_params["token_table"])
+
+    def test_adapt_on_a_specials_only_vocabulary_is_data_error_before_training(self, workdir, capsys, monkeypatch):
+        vocab = workdir / "specials.txt"
+        assert run("build-vocab", "--input", workdir / "train.tsv", "--min-count", "100000", "--out", vocab) == 0
+        common = ["--data", workdir / "train.tsv", "--vocab", vocab, "--config", workdir / "config.json"]
+        # finetune draws no replacement tokens, so it runs on such a vocabulary
+        assert run("finetune", *common, "--checkpoint-out", workdir / "f.npz") == 0
+        capsys.readouterr()
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        for seed in ("0", "1"):
+            assert run("adapt", *common, "--checkpoint-out", workdir / "a.npz", "--seed", seed) == 2
+            assert capsys.readouterr().err == (
+                "data error: vocabulary %s holds only the 7 special tokens; "
+                "adapt draws replacement tokens from its content tokens\n" % vocab
+            )
+        assert not (workdir / "a.npz").exists()
 
     def test_no_speaker_embeddings_zeroes_table(self, workdir):
         vocab = self._vocab(workdir)
@@ -734,20 +755,52 @@ class TestEvaluate:
         assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab) == 2
         assert capsys.readouterr().err == "data error: no pool in %s has a positive candidate\n" % pools
 
+    @staticmethod
+    def _positive_third(path, every):
+        """The toy test pools, with the positive of every ``every``-th pool moved to candidate 2; their count."""
+        records = [json.loads(line) for line in (DATA_DIR / "test_pools.jsonl").read_text().splitlines()]
+        pool_records = [record for record in records if "candidates" in record]
+        for record in pool_records[::every]:
+            labels = [0, 0, 1] + [0] * (len(record["candidates"]) - 3)
+            record["candidates"] = [{**c, "label": y} for c, y in zip(record["candidates"], labels)]
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        return len(pool_records[::every])
+
     def test_other_evaluation_warnings_are_one_line(self, workdir, capsys):
         # R@2,1 reads the first two candidates; every other pool has its positive third
         pools = workdir / "third.jsonl"
-        records = [json.loads(line) for line in (DATA_DIR / "test_pools.jsonl").read_text().splitlines()]
-        pool_records = [record for record in records if "candidates" in record]
-        for record in pool_records[::2]:
-            labels = [0, 0, 1] + [0] * (len(record["candidates"]) - 3)
-            record["candidates"] = [{**c, "label": y} for c, y in zip(record["candidates"], labels)]
-        pools.write_text("".join(json.dumps(record) + "\n" for record in records))
+        dropped = self._positive_third(pools, 2)
         vocab, ckpt = self._untrained(workdir, pools)
         capsys.readouterr()
         assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab) == 0
-        dropped = len(pool_records[::2])
         assert capsys.readouterr().err == "warning: recall_at_k: excluded %d pool(s) without positives\n" % dropped
+
+    def test_default_r2_1_that_no_pool_can_score_is_left_out_with_one_warning(self, workdir, capsys):
+        pools = workdir / "third.jsonl"
+        self._positive_third(pools, 1)
+        vocab, ckpt = self._untrained(workdir, pools)
+        capsys.readouterr()
+        assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: R@2,1 left out: no pool has a positive among its first 2 candidates\n"
+        assert [line.split("=")[0] for line in captured.out.splitlines()] == [
+            "R@10,1", "R@10,2", "R@10,5", "MAP", "MRR", "P@1"
+        ]
+
+    def test_explicit_cutoff_that_no_pool_can_score_is_data_error(self, workdir, capsys):
+        pools = workdir / "third.jsonl"
+        self._positive_third(pools, 1)
+        vocab, ckpt = self._untrained(workdir, pools)
+        capsys.readouterr()
+        for recall in ("2:1", "10:1,2:1"):
+            assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab, "--recall", recall) == 2
+            assert capsys.readouterr() == (
+                "", "data error: R@2,1: no pool has a positive among its first 2 candidates\n"
+            )
+        # a cutoff that is no R_n@k at all stays a usage error
+        assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab, "--recall", "2:3") == 1
+        assert capsys.readouterr().err == "usage error: bad --recall entry '2:3', need 1 <= k <= n\n"
+        assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab, "--recall", "3:1") == 0
 
     def test_records_after_last_pool_are_data_error(self, workdir, capsys):
         pools = workdir / "good.jsonl"

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from replyrank.model import ModelConfig, backward, forward_batch, init_params, score_batch, stack_inputs
-from replyrank.training import _adaptation_batch, _finetune_batch, apply_masking, plan_masking
+from replyrank.training import _adaptation_block, _matching_block, _objective, apply_masking, plan_masking
 from helpers import (
     VOCAB,
     adaptation_loss,
@@ -75,7 +75,7 @@ class TestAgainstDenseReference:
     def test_adapt_loss_and_gradients_equal_dense(self, seed, size):
         masked, plans, nsp_labels, rng = masked_batch(seed, size)
         params = init_params(CONFIG, rng)
-        loss, grads = _adaptation_batch(masked, plans, nsp_labels, params, CONFIG)
+        loss, grads = _objective(_adaptation_block, masked, (plans, nsp_labels), params, CONFIG)
         dense_loss, dense_grads = dense_adaptation_reference(masked, plans, nsp_labels, params, CONFIG)
         assert_close(loss, dense_loss)
         assert grads.keys() == dense_grads.keys()
@@ -85,7 +85,7 @@ class TestAgainstDenseReference:
     def test_single_example_loss_equals_scalar_oracle(self, rng):
         masked, plans, nsp_labels, _ = masked_batch(int(rng.integers(2**32)), 1)
         params = init_params(CONFIG, rng)
-        loss, _ = _adaptation_batch(masked, plans, nsp_labels, params, CONFIG)
+        loss, _ = _objective(_adaptation_block, masked, (plans, nsp_labels), params, CONFIG)
         length = len(masked[0])
         every = (np.zeros(length, dtype=int), np.arange(length))
         _, logits, nsp_logits, _ = forward_batch(stack_inputs(masked), params, CONFIG, mlm_positions=every)
@@ -99,7 +99,7 @@ class TestAgainstDenseReference:
         params = init_params(CONFIG, rng)
         inputs = [random_encoded(rng) for _ in range(size)]
         labels = rng.integers(0, 2, size=size).astype(float)
-        loss, grads = _finetune_batch(inputs, labels, params, CONFIG)
+        loss, grads = _objective(_matching_block, inputs, labels, params, CONFIG)
         assert np.all(grads["mlm_head.w"] == 0.0)
         assert np.all(grads["mlm_head.b"] == 0.0)
         match_logits, _, _, _ = forward_batch(stack_inputs(inputs), params, CONFIG)
@@ -130,7 +130,7 @@ class TestReadRows:
         match_logits, every_loss, every_grads = every_position_finetune(inputs, labels, params)
 
         assert_close(score_batch(stack_inputs(inputs), params, CONFIG), expit(match_logits))
-        loss, grads = _finetune_batch(inputs, labels, params, CONFIG)
+        loss, grads = _objective(_matching_block, inputs, labels, params, CONFIG)
         assert_close(loss, every_loss)
         assert grads.keys() == every_grads.keys()
         for name in grads:
@@ -164,7 +164,7 @@ def test_finetune_step_at_default_dimensions_stays_under_memory_bound():
     inputs = [full_length_input(rng, config.max_seq_len, config.vocab_size) for _ in range(2)]
     tracemalloc.start()
     try:
-        loss, grads = _finetune_batch(inputs, np.array([1.0, 0.0]), params, config)
+        loss, grads = _objective(_matching_block, inputs, np.array([1.0, 0.0]), params, config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -18,7 +18,14 @@ from hypothesis import strategies as st
 
 from replyrank import training
 from replyrank.model import ModelConfig, init_params, stack_inputs
-from replyrank.training import _adaptation_batch, _block_rows, _finetune_batch, apply_masking, plan_masking
+from replyrank.training import (
+    _adaptation_block,
+    _block_rows,
+    _matching_block,
+    _objective,
+    apply_masking,
+    plan_masking,
+)
 from helpers import VOCAB, full_length_input, random_encoded
 
 REPO = Path(__file__).resolve().parent.parent
@@ -40,8 +47,8 @@ def masked_step(rng, size, max_len):
 def both_phases(inputs, labels, masked, plans, nsp_labels, params, config, block_bytes):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(training, "BLOCK_BYTES", block_bytes)
-        return (_finetune_batch(inputs, labels, params, config),
-                _adaptation_batch(masked, plans, nsp_labels, params, config))
+        return (_objective(_matching_block, inputs, labels, params, config),
+                _objective(_adaptation_block, masked, (plans, nsp_labels), params, config))
 
 
 class TestBlockRows:
@@ -108,10 +115,10 @@ class TestBlocksMatchOneBlock:
             return stack_inputs(encoded)
 
         monkeypatch.setattr(training, "stack_inputs", recording_stack_inputs)
-        for phase_inputs, call in ((inputs, lambda: _finetune_batch(inputs, np.ones(9), params, config)),
-                                   (masked, lambda: _adaptation_batch(masked, plans, nsp_labels, params, config))):
+        for phase_inputs, block_loss, targets in ((inputs, _matching_block, np.ones(9)),
+                                                  (masked, _adaptation_block, (plans, nsp_labels))):
             stacked.clear()
-            call()
+            _objective(block_loss, phase_inputs, targets, params, config)
             assert [len(block) for block in stacked] == [2, 2, 2, 2, 1]
             assert [enc for block in stacked for enc in block] == phase_inputs
             for block in stacked:
@@ -129,7 +136,7 @@ def test_adapt_step_memory_at_default_dimensions_does_not_grow_with_batch():
         masked = [apply_masking(enc, plan) for enc, plan in zip(inputs, plans)]
         tracemalloc.start()
         try:
-            loss, _ = _adaptation_batch(masked, plans, rng.integers(0, 2, size=size), params, config)
+            loss, _ = _objective(_adaptation_block, masked, (plans, rng.integers(0, 2, size=size)), params, config)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

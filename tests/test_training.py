@@ -16,9 +16,9 @@ from replyrank.training import (
     WEIGHT_DECAY,
     AdamState,
     TrainConfig,
-    _adaptation_batch,
-    _adaptation_validation_loss,
+    _adaptation_block,
     _corrupted_pairs,
+    _objective,
     _softmax_ce_rows,
     adamw_step,
     apply_masking,
@@ -372,10 +372,29 @@ class TestAdaptationValidation:
         params = init_params(config, np.random.default_rng(4))
         draw = _corrupted_pairs(instances, [inst.response for inst in instances], vocab, 32,
                                 np.random.default_rng(6))
-        whole, _ = _adaptation_batch(*draw, params, config)
+        whole, _ = _objective(_adaptation_block, *draw, params, config)
         monkeypatch.setattr(training, "BLOCK_BYTES", 1)  # one row per block
-        chunked = _adaptation_validation_loss(*draw, params, config)
+        chunked = _objective(_adaptation_block, *draw, params, config, backprop=False)[0]
         assert abs(chunked - whole) <= 1e-12
+
+    def test_without_backprop_never_differentiates_and_gives_the_training_loss(self, monkeypatch):
+        vocab = topic_vocab()
+        instances = topic_instances(np.random.default_rng(2), 9)
+        config = ModelConfig(vocab_size=len(vocab), hidden_dim=16, num_layers=2, num_heads=2,
+                             ffn_dim=24, max_seq_len=32)
+        params = init_params(config, np.random.default_rng(4))
+        draw = _corrupted_pairs(instances, [inst.response for inst in instances], vocab, 32,
+                                np.random.default_rng(6))
+        trained, grads = _objective(_adaptation_block, *draw, params, config)
+        assert grads is not None
+
+        def no_backward(*args, **kwargs):
+            raise AssertionError("backward called without backprop")
+
+        monkeypatch.setattr(training, "backward", no_backward)
+        loss, grads = _objective(_adaptation_block, *draw, params, config, backprop=False)
+        assert grads is None
+        assert loss == trained
 
     def test_memory_does_not_grow_with_validation_size(self):
         toy = json.loads((Path(__file__).resolve().parent.parent / "configs" / "toy.json").read_text())
@@ -395,12 +414,12 @@ class TestAdaptationValidation:
                 plan = plan_masking(enc, VOCAB, MASK_FRACTION, rng)
                 encoded.append(apply_masking(enc, plan))
                 plans.append(plan)
-            draws.append((encoded, plans, rng.integers(0, 2, count)))
+            draws.append((encoded, (plans, rng.integers(0, 2, count))))
         peaks = []
         for draw in draws:
             tracemalloc.start()
             try:
-                _adaptation_validation_loss(*draw, params, config)
+                _objective(_adaptation_block, *draw, params, config, backprop=False)[0]
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
