@@ -122,6 +122,39 @@ def _resources(started: _Start) -> dict:
     }
 
 
+def _openblas_function(name: str, argtypes: tuple = (), restype=None):
+    """Function ``openblas_<name>`` of the OpenBLAS bundled with numpy's wheels, or None where it is missing."""
+    numpy_dir = Path(np.__file__).parent
+    bundled = sorted(numpy_dir.parent.glob("numpy.libs/lib*openblas*"))
+    bundled += sorted(numpy_dir.glob(".dylibs/lib*openblas*"))
+    if not bundled:
+        return None
+    try:
+        lib = ctypes.CDLL(str(bundled[0]))
+    except OSError:
+        return None
+    # the file name carries the symbols' prefix and suffix:
+    # lib<prefix>openblas64_-<hash>.so exports <prefix>openblas_get_config64_
+    file_name = bundled[0].name
+    prefix, suffix = file_name[3 : file_name.find("openblas")], "64_" if "openblas64_" in file_name else ""
+    function = getattr(lib, prefix + "openblas_" + name + suffix, None)
+    if function is not None:
+        function.argtypes = list(argtypes)
+        function.restype = restype
+    return function
+
+
+def _pin_blas_threads() -> None:
+    """Run OpenBLAS on one thread, so a run's results do not depend on the machine's core count.
+
+    GEMM sums split across threads differ in the last bits.  Where the
+    bundled OpenBLAS is not found, nothing changes.
+    """
+    set_threads = _openblas_function("set_num_threads", (ctypes.c_int,))
+    if set_threads is not None:
+        set_threads(1)
+
+
 def _environment() -> dict:
     """Library versions, and the OpenBLAS build and thread count numpy computes with.
 
@@ -130,33 +163,13 @@ def _environment() -> dict:
     the OpenBLAS bundled with numpy's wheels; each is null where that library
     or function is missing.
     """
-    openblas_config = openblas_threads = None
-    numpy_dir = Path(np.__file__).parent
-    bundled = sorted(numpy_dir.parent.glob("numpy.libs/lib*openblas*"))
-    bundled += sorted(numpy_dir.glob(".dylibs/lib*openblas*"))
-    try:
-        lib = ctypes.CDLL(str(bundled[0])) if bundled else None
-    except OSError:
-        lib = None
-    # the file name carries the symbols' prefix and suffix:
-    # lib<prefix>openblas64_-<hash>.so exports <prefix>openblas_get_config64_
-    name = bundled[0].name if bundled else ""
-    prefix, suffix = name[3 : name.find("openblas")], "64_" if "openblas64_" in name else ""
-    get_config = getattr(lib, prefix + "openblas_get_config" + suffix, None)
-    if get_config is not None:
-        get_config.argtypes = []
-        get_config.restype = ctypes.c_char_p
-        openblas_config = get_config().decode()
-    get_threads = getattr(lib, prefix + "openblas_get_num_threads" + suffix, None)
-    if get_threads is not None:
-        get_threads.argtypes = []
-        get_threads.restype = ctypes.c_int
-        openblas_threads = get_threads()
+    get_config = _openblas_function("get_config", (), ctypes.c_char_p)
+    get_threads = _openblas_function("get_num_threads", (), ctypes.c_int)
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "openblas_config": openblas_config,
-        "openblas_threads": openblas_threads,
+        "openblas_config": None if get_config is None else get_config().decode(),
+        "openblas_threads": None if get_threads is None else get_threads(),
     }
 
 
@@ -430,13 +443,17 @@ def _parse_recall_cutoffs(arg: str | None, pools: list[list[MatchingInstance]]) 
     """The R_n@k cutoffs to report: ``--recall``'s, else R@size,k for k in 1, 2, 5 and R@2,1.
 
     R_n@k scores only pools with a positive among their first n candidates.
-    An explicit cutoff that no pool can score is a data error; the default
-    R@2,1 is then left out with a warning.
+    An explicit cutoff whose n exceeds the size of a pool with a positive,
+    or that no pool can score, is a data error, raised before any pool is
+    scored; the default R@2,1 that no pool can score is left out with a
+    warning.
     """
     def scorable(n: int) -> bool:
         return any(inst.label == 1 for pool in pools for inst in pool[:n])
 
     if arg:
+        # the metrics read only the pools with a positive
+        smallest = min(len(pool) for pool in pools if any(inst.label == 1 for inst in pool))
         cutoffs = []
         for piece in arg.split(","):
             try:
@@ -445,6 +462,8 @@ def _parse_recall_cutoffs(arg: str | None, pools: list[list[MatchingInstance]]) 
                 raise UsageError("bad --recall entry %r, expected n:k" % piece) from exc
             if not 1 <= k <= n:
                 raise UsageError("bad --recall entry %r, need 1 <= k <= n" % piece)
+            if n > smallest:
+                raise CorpusError("R@%d,%d: a pool with a positive has only %d candidates" % (n, k, smallest))
             if not scorable(n):
                 raise CorpusError("R@%d,%d: no pool has a positive among its first %d candidates" % (n, k, n))
             cutoffs.append((n, k))
@@ -514,18 +533,21 @@ def _now() -> str:
 # --- argument wiring ---------------------------------------------------------
 
 
-def _context_cap(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be an integer >= 1, got %r" % text)
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type that takes integers >= ``minimum`` and names anything else a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError("must be an integer >= %d, got %r" % (minimum, text))
+        return value
+    return parse
 
 
 def _add_context_args(parser):
-    parser.add_argument("--cap", type=_context_cap, default=DEFAULT_CONTEXT_CAP,
+    parser.add_argument("--cap", type=_int_at_least(1), default=DEFAULT_CONTEXT_CAP,
                         help="max context utterances kept per example (>= 1)")
     parser.add_argument("--no-disentangle", action="store_true",
                         help="use raw pool contexts instead of speaker filtering")
@@ -545,7 +567,8 @@ def _add_train_args(parser):
     parser.add_argument("--checkpoint-out", required=True, help="where to save the trained checkpoint")
     parser.add_argument("--loss-log", help="CSV file for per-step losses")
     parser.add_argument("--validation", help="validation data (pools for finetune)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for init, shuffling and sampling (default 0)")
+    parser.add_argument("--seed", type=_int_at_least(0), default=0,
+                        help="seed for init, shuffling and sampling, >= 0 (default 0)")
     parser.add_argument("--no-speaker-embeddings", action="store_true",
                         help="zero and freeze the speaker embedding table")
 
@@ -565,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("disentangle", help="filter an entangled channel for one speaker")
     p.add_argument("--channel", required=True, help="utterance channel JSONL")
     p.add_argument("--speaker", required=True, help="target (response) speaker")
-    p.add_argument("--cap", type=_context_cap, default=DEFAULT_CONTEXT_CAP)
+    p.add_argument("--cap", type=_int_at_least(1), default=DEFAULT_CONTEXT_CAP)
     p.add_argument("--infer-addressees", action="store_true",
                    help="fill missing 'to' labels from name:/name, prefixes before filtering")
     p.add_argument("--out", required=True)
@@ -610,6 +633,7 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 def main(argv=None) -> int:
     _keep_freed_memory()
+    _pin_blas_threads()
     parser = build_parser()
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning

@@ -261,12 +261,35 @@ def _embed(batch: Batch, params: Params, config: ModelConfig) -> np.ndarray:
     return x
 
 
+def _scatter_add(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """Add row i of ``rows`` to ``table[ids[i]]`` for every i, repeated ids included.
+
+    ``np.add.at(table, ids, rows)`` for 1-D ``ids``, in one ``np.bincount`` pass:
+    a stable sort numbers each row by its id's rank among the distinct ids,
+    bincount sums the rows' entries per (rank, column) cell in row order, and
+    one fancy-index ``+=`` adds the sums, whose ids are distinct.  Into a zero
+    table that is bitwise ``np.add.at``; into another, each sum is added in
+    one piece.  Its cost does not grow with the number of distinct ids, as a
+    ``np.add.reduceat`` over sorted rows does.
+    """
+    if not ids.size:
+        return
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    first = np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1]))
+    rank = np.empty_like(order)
+    rank[order] = np.cumsum(first) - 1
+    width = rows.shape[1]
+    cells = (rank * width)[:, None] + np.arange(width)
+    table[sorted_ids[first]] += np.bincount(cells.ravel(), weights=rows.ravel()).reshape(-1, width)
+
+
 def _embed_backward(dx: np.ndarray, batch: Batch, grads: Params) -> None:
     flat_dx = dx.reshape(-1, dx.shape[-1])
-    np.add.at(grads["token_table"], batch.token_ids.ravel(), flat_dx)
-    np.add.at(grads["segment_table"], batch.segment_ids.ravel(), flat_dx)
+    _scatter_add(grads["token_table"], batch.token_ids.ravel(), flat_dx)
+    _scatter_add(grads["segment_table"], batch.segment_ids.ravel(), flat_dx)
     grads["position_table"][: dx.shape[1]] += dx.sum(axis=0)
-    np.add.at(grads["speaker_table"], batch.speaker_ids.ravel(), flat_dx)
+    _scatter_add(grads["speaker_table"], batch.speaker_ids.ravel(), flat_dx)
 
 
 def _read_columns(rows: np.ndarray, cols: np.ndarray, batch_size: int, width: int):
@@ -299,37 +322,68 @@ def _linear_backward(dy: np.ndarray, x: np.ndarray, params: Params, grads: Param
 
     Returns the input's gradient, ``dy @ W.T``.
     """
-    grads[at + "w" + s] += x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
-    grads[at + "b" + s] += dy.sum(axis=tuple(range(dy.ndim - 1)))
+    flat_dy = dy.reshape(-1, dy.shape[-1])
+    grads[at + "w" + s] += x.reshape(-1, x.shape[-1]).T @ flat_dy
+    grads[at + "b" + s] += np.ones(len(flat_dy)) @ flat_dy
     return dy @ params[at + "w" + s].T
+
+
+# Layernorm's row reductions are matrix-vector products and einsum row dots:
+# numpy's mean over a short last axis is a slow reduction per row, and
+# ``(a * b).sum(-1)`` writes a full temporary first.
+
+
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """The mean over the last axis, kept as a trailing axis of length 1.
+
+    The row sum comes first, as in ``x.mean``, so a sum that overflows gives
+    a non-finite mean rather than a finite one.
+    """
+    h = x.shape[-1]
+    return (x.reshape(-1, h) @ np.ones(h) / h).reshape(*x.shape[:-1], 1)
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot products of the last-axis rows of ``a`` and ``b``, kept as a trailing axis of length 1."""
+    return np.einsum("...i,...i->...", a, b)[..., None]
 
 
 def _layer_norm(x: np.ndarray, params: Params, name: str):
     """Layernorm ``name`` of ``x``: ``(output, xhat, inv_std)``."""
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = centered * inv_std
-    return params[name + ".gain"] * xhat + params[name + ".bias"], xhat, inv_std
+    xhat = x - _row_mean(x)
+    inv_std = 1.0 / np.sqrt(_row_dot(xhat, xhat) / x.shape[-1] + LN_EPS)
+    xhat *= inv_std
+    out = xhat * params[name + ".gain"]
+    out += params[name + ".bias"]
+    return out, xhat, inv_std
 
 
 def _layer_norm_backward(dy: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, params: Params, grads: Params,
                          name: str) -> np.ndarray:
     """Add the gain and bias gradients of layernorm ``name`` to ``grads``; return the input's."""
-    grads[name + ".gain"] += (dy * xhat).sum(axis=(0, 1))
-    grads[name + ".bias"] += dy.sum(axis=(0, 1))
-    dxhat = dy * params[name + ".gain"]
-    return inv_std * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    h = dy.shape[-1]
+    flat_dy = dy.reshape(-1, h)
+    grads[name + ".gain"] += np.einsum("ni,ni->i", flat_dy, xhat.reshape(-1, h))
+    grads[name + ".bias"] += np.ones(len(flat_dy)) @ flat_dy
+    dx = dy * params[name + ".gain"]
+    dot = _row_dot(dx, xhat) / h
+    dx -= _row_mean(dx)
+    dx -= xhat * dot
+    dx *= inv_std
+    return dx
 
 
 def _gelu(x: np.ndarray):
     """GELU and the tanh approximation of the normal CDF that scales ``x`` in it: ``(x * cdf, cdf)``."""
-    cdf = 0.5 * (1.0 + np.tanh(GELU_C * (x + GELU_A * x * x * x)))
+    # in place, in the order of 0.5 * (1.0 + np.tanh(GELU_C * (x + GELU_A * x * x * x)))
+    cdf = GELU_A * x
+    cdf *= x
+    cdf *= x
+    cdf += x
+    cdf *= GELU_C
+    np.tanh(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     return x * cdf, cdf
 
 
@@ -338,7 +392,18 @@ def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 
     ``1 - tanh**2`` is ``4 * cdf * (1 - cdf)``, so no second tanh is needed.
     """
-    return cdf + 2.0 * x * cdf * (1.0 - cdf) * GELU_C * (1.0 + 3.0 * GELU_A * x * x)
+    # in place, in the order of cdf + 2.0 * x * cdf * (1.0 - cdf) * GELU_C * (1.0 + 3.0 * GELU_A * x * x)
+    grad = 2.0 * x
+    grad *= cdf
+    other = 1.0 - cdf
+    grad *= other
+    grad *= GELU_C
+    np.multiply(3.0 * GELU_A, x, out=other)
+    other *= x
+    other += 1.0
+    grad *= other
+    grad += cdf
+    return grad
 
 
 def sigmoid(x) -> np.ndarray:
@@ -377,7 +442,8 @@ def _attention(x: np.ndarray, query_cols: np.ndarray | None, mask: np.ndarray, p
     # softmax in place: every fresh (B, H, L, L) array would be paged in anew
     attn = q @ k.swapaxes(-1, -2)
     attn *= 1.0 / np.sqrt(q.shape[-1])
-    np.copyto(attn, -np.inf, where=mask[:, None, None, :] == 0)
+    if not mask.all():
+        np.copyto(attn, -np.inf, where=mask[:, None, None, :] == 0)
     attn -= attn.max(axis=-1, keepdims=True)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=-1, keepdims=True)
@@ -397,11 +463,13 @@ def _attention_backward(dx_mid: np.ndarray, lt: LayerTrace, params: Params, grad
     dv = lt.attn.swapaxes(-1, -2) @ dctx
     # softmax backward, in dattn's buffer; masked keys carry attn == 0, so their scores get 0
     dscores = dattn
-    dscores -= (dattn * lt.attn).sum(axis=-1, keepdims=True)
+    dscores -= np.einsum("bhij,bhij->bhi", dattn, lt.attn)[..., None]
     dscores *= lt.attn
     scale = 1.0 / np.sqrt(lt.q.shape[-1])
-    dq = (dscores @ lt.k) * scale
-    dk = (dscores.swapaxes(-1, -2) @ lt.q) * scale
+    dq = dscores @ lt.k
+    dq *= scale
+    dk = dscores.swapaxes(-1, -2) @ lt.q
+    dk *= scale
     query_rows = (np.arange(len(lt.x_in))[:, None], lt.query_cols)
     x_q = lt.x_in if lt.query_cols is None else lt.x_in[query_rows]
     dx_q = dsum + _linear_backward(_merge_heads(dq), x_q, params, grads, p, "q")
@@ -410,9 +478,10 @@ def _attention_backward(dx_mid: np.ndarray, lt: LayerTrace, params: Params, grad
     else:
         # padded slots repeat column 0: a fancy-index += would keep only one of the duplicates
         dx = np.zeros_like(lt.x_in)
-        np.add.at(dx, query_rows, dx_q)
+        b, l, h = dx.shape
+        _scatter_add(dx.reshape(b * l, h), (query_rows[0] * l + lt.query_cols).ravel(), dx_q.reshape(-1, h))
     for name, dhead in (("k", dk), ("v", dv)):
-        dx = dx + _linear_backward(_merge_heads(dhead), lt.x_in, params, grads, p, name)
+        dx += _linear_backward(_merge_heads(dhead), lt.x_in, params, grads, p, name)
     return dx
 
 
@@ -427,7 +496,8 @@ def _ffn(x: np.ndarray, params: Params, prefix: str):
 
 def _ffn_backward(dx: np.ndarray, lt: LayerTrace, params: Params, grads: Params, prefix: str) -> np.ndarray:
     dsum = _layer_norm_backward(dx, lt.ln_ffn_xhat, lt.ln_ffn_inv_std, params, grads, prefix + "ln_ffn")
-    dz1 = _linear_backward(dsum, lt.z1 * lt.cdf, params, grads, prefix + "ffn.", "2") * _gelu_grad(lt.z1, lt.cdf)
+    dz1 = _linear_backward(dsum, lt.z1 * lt.cdf, params, grads, prefix + "ffn.", "2")
+    dz1 *= _gelu_grad(lt.z1, lt.cdf)
     return dsum + _linear_backward(dz1, lt.x_mid, params, grads, prefix + "ffn.", "1")
 
 
@@ -448,7 +518,8 @@ def _heads_backward(trace: ForwardTrace, params: Params, grads: Params, d_match,
     d_mlm = np.asarray(d_mlm, dtype=float).reshape(len(rows), params["mlm_head.w"].shape[1])
     dx = np.zeros_like(final)
     d_read = _linear_backward(d_mlm, final[rows, slots], params, grads, "mlm_head.", "")
-    np.add.at(dx, (rows, slots), d_read)
+    b, r, h = dx.shape
+    _scatter_add(dx.reshape(b * r, h), rows * r + slots, d_read)
     cls = final[:, 0, :]
     grads["match_head.w"] += (cls * d_match[:, None]).sum(axis=0)[:, None]
     grads["match_head.b"] += d_match.sum(keepdims=True)

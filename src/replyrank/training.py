@@ -239,14 +239,26 @@ def adamw_step(
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
+        # in two scratch buffers, in the order of m = beta1 * m + (1 - beta1) * g,
+        # v = beta2 * v + (1 - beta2) * g * g and p -= lr * (update + weight_decay * p),
+        # update = (m / bc1) / (sqrt(v / bc2) + eps)
+        scratch = np.multiply(1.0 - beta1, g)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += scratch
+        np.multiply(1.0 - beta2, g, out=scratch)
+        scratch *= g
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        v += scratch
+        np.divide(v, bc2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += eps
+        update = np.divide(m, bc1)
+        update /= scratch
         if weight_decay > 0.0 and p.ndim >= 2:
-            update = update + weight_decay * p
-        p -= lr * update
+            np.multiply(weight_decay, p, out=scratch)
+            update += scratch
+        update *= lr
+        p -= update
 
 
 def linear_lr(base_lr: float, step: int, total_steps: int) -> float:

@@ -117,6 +117,54 @@ def reference_gelu_grad(x: np.ndarray) -> np.ndarray:
     return cdf + 2.0 * x * cdf * (1.0 - cdf) * np.sqrt(2.0 / np.pi) * (1.0 + 3.0 * 0.044715 * x * x)
 
 
+def reference_layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
+    """Layernorm with numpy's row means, each step in a fresh array: ``(output, xhat, inv_std)``.
+
+    The oracle for ``model._layer_norm``, which takes its row reductions as
+    matrix-vector products and einsum row dots.
+    """
+    mean = x.mean(axis=-1, keepdims=True)
+    centered = x - mean
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+    return gain * xhat + bias, xhat, inv_std
+
+
+def reference_layer_norm_backward(dy: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, gain: np.ndarray):
+    """Layernorm's gradients ``(d input, d gain, d bias)`` from numpy's sums and means: the oracle for
+    ``model._layer_norm_backward``."""
+    dxhat = dy * gain
+    dx = inv_std * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return dx, (dy * xhat).sum(axis=(0, 1)), dy.sum(axis=(0, 1))
+
+
+def reference_adamw_step(params, grads, state, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8,
+                         frozen=frozenset()) -> None:
+    """``training.adamw_step`` as whole-array expressions: the oracle it must equal bitwise."""
+    state.t += 1
+    bc1 = 1.0 - beta1 ** state.t
+    bc2 = 1.0 - beta2 ** state.t
+    for name, p in params.items():
+        if name in frozen:
+            continue
+        g = grads[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        if weight_decay > 0.0 and p.ndim >= 2:
+            update = update + weight_decay * p
+        p -= lr * update
+
+
 def every_position(batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     """(row, column) pairs for every slot of ``batch``, row by row: requesting them gives R = L."""
     b, l = batch.token_ids.shape

@@ -181,6 +181,18 @@ class TestTrainingCommands:
             )
         assert not (workdir / "a.npz").exists()
 
+    @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+    @pytest.mark.parametrize("phase", ["adapt", "finetune"])
+    def test_seed_that_is_not_an_integer_of_at_least_0_is_usage_error_before_loading(self, workdir, capsys, phase,
+                                                                                      seed):
+        # every input is missing, so loading any of them before the check would be a data error
+        missing = workdir / "missing"
+        assert run(phase, "--data", missing / "train.tsv", "--vocab", missing / "vocab.txt",
+                   "--checkpoint-in", missing / "in.npz", "--checkpoint-out", workdir / "out.npz",
+                   "--seed", seed) == 1
+        assert capsys.readouterr().err == "usage error: argument --seed: must be an integer >= 0, got %r\n" % seed
+        assert not (workdir / "out.npz").exists()
+
     def test_no_speaker_embeddings_zeroes_table(self, workdir):
         vocab = self._vocab(workdir)
         out = workdir / "ablated.npz"
@@ -468,6 +480,17 @@ class TestTrainingCommands:
         if list(Path(np.__file__).parent.parent.glob("numpy.libs/lib*openblas*")):
             # a bundled OpenBLAS is found and its symbols named from its file name
             assert environment["openblas_config"] is not None and threads is not None
+
+    def test_main_pins_openblas_to_one_thread(self, workdir):
+        set_threads = cli._openblas_function("set_num_threads", (ctypes.c_int,))
+        if set_threads is not None:
+            set_threads(2)  # what a two-core machine starts with; main sets it back
+        vocab = self._vocab(workdir)
+        assert run("adapt", "--data", workdir / "train.tsv", "--vocab", vocab,
+                   "--config", workdir / "config.json", "--checkpoint-out", workdir / "a.npz", "--seed", "1") == 0
+        for manifest in (str(vocab) + ".manifest.json", workdir / "a.npz.manifest.json"):
+            threads = json.loads(Path(manifest).read_text())["environment"]["openblas_threads"]
+            assert threads == (None if set_threads is None else 1)
 
 
 class TestShippedConfigs:
@@ -801,6 +824,25 @@ class TestEvaluate:
         assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab, "--recall", "2:3") == 1
         assert capsys.readouterr().err == "usage error: bad --recall entry '2:3', need 1 <= k <= n\n"
         assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab, "--recall", "3:1") == 0
+
+    def test_explicit_cutoff_above_a_pool_size_is_data_error_before_scoring(self, workdir, capsys, monkeypatch):
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("pools scored")
+
+        pools = DATA_DIR / "test_pools.jsonl"  # 10 candidates per pool
+        vocab, ckpt = self._untrained(workdir, pools)
+        monkeypatch.setattr(cli, "score_pools", no_scoring)
+        capsys.readouterr()
+        for recall in ("11:1", "10:1,11:1"):
+            assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab, "--recall", recall) == 2
+            assert capsys.readouterr() == ("", "data error: R@11,1: a pool with a positive has only 10 candidates\n")
+        # with mixed sizes the smallest pool decides
+        mixed = workdir / "mixed.jsonl"
+        self._write_pools(mixed, [2, 3])
+        vocab, ckpt = self._untrained(workdir, mixed)
+        capsys.readouterr()
+        assert run("evaluate", "--pools", mixed, "--checkpoint", ckpt, "--vocab", vocab, "--recall", "3:1") == 2
+        assert capsys.readouterr().err == "data error: R@3,1: a pool with a positive has only 2 candidates\n"
 
     def test_records_after_last_pool_are_data_error(self, workdir, capsys):
         pools = workdir / "good.jsonl"

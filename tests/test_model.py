@@ -2,13 +2,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf, expit
 
 from replyrank.encoding import EncodedInput
 from replyrank.model import (
+    LN_EPS,
     ModelConfig,
     _gelu,
     _gelu_grad,
+    _layer_norm,
+    _layer_norm_backward,
+    _scatter_add,
     NumericError,
     backward,
     forward_batch,
@@ -32,6 +38,8 @@ from helpers import (
     reference_attention,
     reference_gelu,
     reference_gelu_grad,
+    reference_layer_norm,
+    reference_layer_norm_backward,
     tiny_model_config,
     widen,
 )
@@ -210,6 +218,63 @@ class TestGelu:
         gap = np.abs(_gelu(x)[0] - exact)
         assert gap.max() < 5e-4
         assert 2.5 < abs(x[gap.argmax()]) < 2.9
+
+
+class TestScatterAdd:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), table_rows=st.integers(1, 40), count=st.integers(0, 120),
+           width=st.integers(1, 9), distinct=st.integers(1, 40), nonzero_table=st.booleans())
+    def test_equals_add_at_with_repeated_and_absent_ids(self, seed, table_rows, count, width, distinct,
+                                                         nonzero_table):
+        rng = np.random.default_rng(seed)
+        # ids drawn from a subset of the rows: some rows repeat, the others are absent
+        ids = rng.choice(rng.permutation(table_rows)[: min(distinct, table_rows)], size=count)
+        rows = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(count, width))
+        table = rng.normal(size=(table_rows, width)) if nonzero_table else np.zeros((table_rows, width))
+        want = table.copy()
+        np.add.at(want, ids, rows)
+        got = table.copy()
+        _scatter_add(got, ids, rows)
+        if nonzero_table:
+            # the same terms, added to the table in one piece: rounding may differ relative to their magnitudes
+            magnitude = np.abs(table)
+            np.add.at(magnitude, ids, np.abs(rows))
+            assert np.all(np.abs(got - want) <= 1e-12 * magnitude)
+        else:
+            assert np.array_equal(got, want)  # every id's rows summed in row order, as add.at does
+        untouched = np.setdiff1d(np.arange(table_rows), ids)
+        assert np.array_equal(got[untouched], table[untouched])
+
+
+class TestLayerNorm:
+    @pytest.mark.parametrize("shape", [(3, 5, 16), (1, 1, 8), (4, 2, 64)])
+    def test_forward_and_backward_equal_reference_within_1e_12(self, rng, shape):
+        h = shape[-1]
+        x = rng.normal(loc=3.0, scale=2.0, size=shape)
+        params = {"ln.gain": rng.normal(size=h), "ln.bias": rng.normal(size=h)}
+        out, xhat, inv_std = _layer_norm(x, params, "ln")
+        want_out, want_xhat, want_inv_std = reference_layer_norm(x, params["ln.gain"], params["ln.bias"], LN_EPS)
+        assert inv_std.shape == want_inv_std.shape == (*shape[:-1], 1)
+        np.testing.assert_allclose(out, want_out, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(xhat, want_xhat, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(inv_std, want_inv_std, rtol=1e-12, atol=0)
+
+        dy = rng.normal(size=shape)
+        grads = {"ln.gain": rng.normal(size=h), "ln.bias": rng.normal(size=h)}
+        start = {name: g.copy() for name, g in grads.items()}
+        dx = _layer_norm_backward(dy, xhat, inv_std, params, grads, "ln")
+        want_dx, want_gain, want_bias = reference_layer_norm_backward(dy, xhat, inv_std, params["ln.gain"])
+        np.testing.assert_allclose(dx, want_dx, rtol=1e-12, atol=1e-12 * np.abs(want_dx).max())
+        np.testing.assert_allclose(grads["ln.gain"], start["ln.gain"] + want_gain, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads["ln.bias"], start["ln.bias"] + want_bias, rtol=1e-12, atol=1e-12)
+
+    def test_backward_leaves_its_inputs_unchanged(self, rng):
+        x, dy = rng.normal(size=(2, 3, 8)), rng.normal(size=(2, 3, 8))
+        params = {"ln.gain": rng.normal(size=8), "ln.bias": rng.normal(size=8)}
+        _, xhat, inv_std = _layer_norm(x, params, "ln")
+        kept = [a.copy() for a in (dy, xhat, inv_std)]
+        _layer_norm_backward(dy, xhat, inv_std, params, {"ln.gain": np.zeros(8), "ln.bias": np.zeros(8)}, "ln")
+        assert all(np.array_equal(a, b) for a, b in zip((dy, xhat, inv_std), kept))
 
 
 class TestSigmoid:

@@ -33,6 +33,7 @@ from helpers import (
     adaptation_loss,
     finetune_loss,
     random_encoded,
+    reference_adamw_step,
     topic_instances,
     topic_vocab,
 )
@@ -267,6 +268,27 @@ class TestOptimizer:
         adamw_step(params, {"w": np.zeros((2, 2)), "b": np.zeros(2)}, state, lr=0.1, weight_decay=0.5)
         assert np.all(params["w"] < 1.0)  # decayed
         assert np.all(params["b"] == 1.0)  # zero grad, no decay
+
+    @pytest.mark.parametrize("weight_decay", [0.0, WEIGHT_DECAY])
+    def test_equals_whole_array_reference_bitwise_over_20_steps(self, weight_decay):
+        rng = np.random.default_rng(3)
+        shapes = {"table": (7, 5), "w": (5, 3), "b": (3,), "frozen": (4, 5)}
+        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        reference = {name: p.copy() for name, p in params.items()}
+        initial = {name: p.copy() for name, p in params.items()}
+        state, reference_state = AdamState.for_params(params), AdamState.for_params(reference)
+        for step in range(20):
+            grads = {name: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=shape) for name, shape in shapes.items()}
+            lr = linear_lr(3e-3, step, 20)
+            adamw_step(params, grads, state, lr, weight_decay, frozen=frozenset(["frozen"]))
+            reference_adamw_step(reference, grads, reference_state, lr, weight_decay, frozen=frozenset(["frozen"]))
+            for name in shapes:
+                assert np.array_equal(params[name], reference[name]), (step, name)
+                assert np.array_equal(state.m[name], reference_state.m[name]), (step, name)
+                assert np.array_equal(state.v[name], reference_state.v[name]), (step, name)
+        assert state.t == reference_state.t == 20
+        assert not np.array_equal(params["table"], initial["table"])
+        assert np.array_equal(params["frozen"], initial["frozen"]) and np.all(state.m["frozen"] == 0.0)
 
     def test_frozen_tensors_untouched(self):
         params = {"w": np.ones((2, 2))}
