@@ -6,7 +6,7 @@ transformer with exact analytic gradients, two-phase training and a
 ranking/evaluation harness.
 """
 
-from .corpus import CandidatePool, CorpusError, DialogueExample, Utterance
+from .corpus import CandidatePool, CorpusError, Utterance
 from .disentangle import FilteredContext, MatchRole, cap_context, filter_channel
 from .encoding import EncodedInput, MatchingInstance, build_input, encode_instance, mark_turns
 from .evaluation import (
@@ -27,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CandidatePool",
     "CorpusError",
-    "DialogueExample",
     "EncodedInput",
     "FilteredContext",
     "MatchRole",

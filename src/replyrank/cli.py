@@ -31,10 +31,10 @@ import numpy as np
 import encodings.cp437  # noqa: F401
 import numpy.random  # noqa: F401
 
-from .corpus import CandidatePool, CorpusError, DialogueExample, extract_spoken_to, load_channel, write_channel
+from .corpus import CandidatePool, CorpusError, extract_spoken_to, load_channel, write_channel
 from .disentangle import DEFAULT_CONTEXT_CAP, cap_context, filter_channel
 from .encoding import MatchingInstance, encode_instance, format_tracks, instance_from_example, instance_from_filtered
-from .evaluation import DEFAULT_THRESHOLD_GRID, compute_report, format_report, rank_scores, select_threshold
+from .evaluation import DEFAULT_THRESHOLD_GRID, RankedPool, compute_report, format_report, rank_scores, select_threshold
 from .model import (
     CheckpointError,
     ModelConfig,
@@ -214,47 +214,38 @@ def _config_section(config: dict, name: str) -> dict:
     return section
 
 
-def _pool_instances(pool: CandidatePool, disentangle: bool, cap: int) -> list[MatchingInstance]:
-    """One instance per candidate: its speaker's filtered thread, else the raw context tail."""
-    instances = []
-    for candidate, label in pool.candidates:
-        if disentangle:
-            filtered = filter_channel(pool.context, candidate.spoken_from)
-            if filtered.utterances:
-                instances.append(
-                    instance_from_filtered(filtered, candidate, label, max_utterances=cap)
-                )
-                continue
-        example = DialogueExample(context=pool.context[-cap:], response=candidate, label=label)
-        instances.append(instance_from_example(example))
-    return instances
+def _load_pools(path: str, fmt: str, disentangle: bool, cap: int) -> list[list[MatchingInstance]]:
+    """Every candidate pool in ``path``, one instance per candidate; a TSV line is a one-candidate pool.
 
-
-def _load_instances(path: str, fmt: str, disentangle: bool, cap: int) -> list[MatchingInstance]:
+    With ``disentangle``, a JSONL candidate's context is its speaker's
+    filtered thread, or the raw context tail where that thread is empty.  TSV
+    contexts are never filtered: their utterances carry no addressee, so
+    filtering would keep only the responder's own lines.
+    """
     loaded = load_channel(path, fmt)
     if not loaded:
         raise CorpusError("%s holds no examples" % path)
-    if fmt == "tsv":
-        return [instance_from_example(replace(ex, context=ex.context[-cap:])) for ex in loaded]
-    if isinstance(loaded[0], CandidatePool):
-        instances = []
-        for pool in loaded:
-            instances.extend(_pool_instances(pool, disentangle, cap))
-        return instances
-    raise CorpusError("%s holds a bare utterance channel; need examples or candidate pools" % path)
+    if not isinstance(loaded[0], CandidatePool):
+        raise CorpusError("%s holds a bare utterance channel; need examples or candidate pools" % path)
+
+    def instance(context, candidate, label) -> MatchingInstance:
+        if disentangle and fmt == "jsonl":
+            filtered = filter_channel(context, candidate.spoken_from)
+            if filtered.utterances:
+                return instance_from_filtered(filtered, candidate, label, max_utterances=cap)
+        return instance_from_example(context[-cap:], candidate, label)
+
+    return [[instance(pool.context, candidate, label) for candidate, label in pool.candidates] for pool in loaded]
 
 
-def _load_instance_pools(path: str, disentangle: bool, cap: int) -> list[list[MatchingInstance]]:
-    loaded = load_channel(path, "jsonl")
-    if not loaded or not isinstance(loaded[0], CandidatePool):
-        raise CorpusError("%s does not contain candidate pools" % path)
-    return [_pool_instances(pool, disentangle, cap) for pool in loaded]
+def _flat(pools: list[list[MatchingInstance]]) -> list[MatchingInstance]:
+    return [inst for pool in pools for inst in pool]
 
 
-def score_pools(
+def rank_pools(
     pools: list[list[MatchingInstance]], params, config: ModelConfig, vocab: Vocabulary
-) -> list[list[float]]:
-    """Matching probabilities for every candidate of every pool, in candidate order.
+) -> list[RankedPool]:
+    """Every pool's candidates scored with their matching probabilities and ranked, in pool order.
 
     All candidates are encoded, sorted by real length and scored in
     consecutive chunks of at most as many rows as the largest pool, so a
@@ -269,7 +260,7 @@ def score_pools(
         rows = order[start : start + chunk]
         scores[rows] = score_batch(stack_inputs([encoded[i] for i in rows]), params, config)
     flat = iter(scores.tolist())
-    return [[next(flat) for _ in pool] for pool in pools]
+    return [rank_scores([next(flat) for _ in pool], [inst.label for inst in pool]) for pool in pools]
 
 
 def _collect_texts(paths: list[str], fmt: str) -> list[str]:
@@ -277,18 +268,13 @@ def _collect_texts(paths: list[str], fmt: str) -> list[str]:
     for path in paths:
         if fmt == "text":
             texts.extend(Path(path).read_text(encoding="utf-8").splitlines())
-        elif fmt == "tsv":
-            for example in load_channel(path, "tsv"):
-                texts.extend(u.text for u in example.context)
-                texts.append(example.response.text)
-        else:
-            loaded = load_channel(path, "jsonl")
-            for item in loaded:
-                if isinstance(item, CandidatePool):
-                    texts.extend(u.text for u in item.context)
-                    texts.extend(c.text for c, _ in item.candidates)
-                else:
-                    texts.append(item.text)
+            continue
+        for item in load_channel(path, fmt):
+            if isinstance(item, CandidatePool):
+                texts.extend(u.text for u in item.context)
+                texts.extend(c.text for c, _ in item.candidates)
+            else:
+                texts.append(item.text)
     return texts
 
 
@@ -297,8 +283,6 @@ def _collect_texts(paths: list[str], fmt: str) -> list[str]:
 
 def cmd_build_vocab(args) -> int:
     started = _start()
-    if args.max_size < 8:
-        raise UsageError("--max-size must be at least 8 (7 specials + content)")
     vocab = build_vocab(_collect_texts(args.input, args.format), args.min_count, args.max_size)
     vocab.save(args.out)
     print("wrote vocabulary of %d tokens to %s" % (len(vocab), args.out))
@@ -395,13 +379,13 @@ def _prepare_training(args, phase: str):
 def _run_phase(args, phase: str) -> int:
     started = _start()
     vocab, model_config, train_config, params = _prepare_training(args, phase)
-    instances = _load_instances(args.data, args.format, disentangle=not args.no_disentangle, cap=args.cap)
+    instances = _flat(_load_pools(args.data, args.format, not args.no_disentangle, args.cap))
     if phase == "adapt" and sum(inst.label == 1 for inst in instances) < 2:
         raise CorpusError("%s has fewer than 2 label-1 examples to adapt on" % args.data)
     validation = None
     if args.validation:
         if phase == "finetune":
-            validation = _load_instance_pools(args.validation, disentangle=not args.no_disentangle, cap=args.cap)
+            validation = _load_pools(args.validation, "jsonl", not args.no_disentangle, args.cap)
             sizes = sorted({len(pool) for pool in validation})
             if len(sizes) > 1:
                 raise CorpusError("validation pools in %s have mixed candidate counts %s" % (args.validation, sizes))
@@ -410,9 +394,7 @@ def _run_phase(args, phase: str) -> int:
         else:
             validation = [
                 inst
-                for inst in _load_instances(
-                    args.validation, args.format, disentangle=not args.no_disentangle, cap=args.cap
-                )
+                for inst in _flat(_load_pools(args.validation, args.format, not args.no_disentangle, args.cap))
                 if inst.label == 1
             ]
             if not validation:
@@ -488,7 +470,7 @@ def cmd_evaluate(args) -> int:
     if model_config.vocab_size != len(vocab):
         raise CorpusError("checkpoint vocab size %d does not match vocabulary %d"
                           % (model_config.vocab_size, len(vocab)))
-    pools = _load_instance_pools(args.pools, disentangle=not args.no_disentangle, cap=args.cap)
+    pools = _load_pools(args.pools, "jsonl", not args.no_disentangle, args.cap)
     unanswered = sum(not any(inst.label == 1 for inst in pool) for pool in pools)
     if unanswered == len(pools):
         raise CorpusError("no pool in %s has a positive candidate" % args.pools)
@@ -496,8 +478,7 @@ def cmd_evaluate(args) -> int:
         print("warning: %d of %d pools have no positive candidate; every metric leaves them out"
               % (unanswered, len(pools)), file=sys.stderr)
     cutoffs = _parse_recall_cutoffs(args.recall, pools)
-    scores = score_pools(pools, params, model_config, vocab)
-    ranked = [rank_scores(s, [inst.label for inst in pool]) for s, pool in zip(scores, pools)]
+    ranked = rank_pools(pools, params, model_config, vocab)
     threshold = None
     if args.threshold_sweep:
         threshold = select_threshold(ranked, DEFAULT_THRESHOLD_GRID)
@@ -514,8 +495,8 @@ def cmd_evaluate(args) -> int:
 def cmd_encode(args) -> int:
     started = _start()
     vocab = Vocabulary.load(args.vocab)
-    instances = _load_instances(args.data, args.format, not args.no_disentangle, args.cap)
-    if not 0 <= args.row < len(instances):
+    instances = _flat(_load_pools(args.data, args.format, not args.no_disentangle, args.cap))
+    if args.row >= len(instances):
         raise UsageError("--row %d out of range (have %d instances)" % (args.row, len(instances)))
     enc = encode_instance(instances[args.row], vocab, args.max_len)
     text = format_tracks(enc, vocab)
@@ -580,8 +561,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-vocab", help="build a vocabulary file from corpora")
     p.add_argument("--input", nargs="+", required=True, help="corpus file(s)")
     p.add_argument("--format", choices=("tsv", "jsonl", "text"), default="tsv")
-    p.add_argument("--min-count", type=int, default=1)
-    p.add_argument("--max-size", type=int, default=30000)
+    p.add_argument("--min-count", type=_int_at_least(1), default=1)
+    p.add_argument("--max-size", type=_int_at_least(8), default=30000,
+                   help="vocabulary size cap, >= 8 (7 specials + content)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_vocab)
 
@@ -618,8 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="inspect the encoded id tracks for one example")
     _add_data_args(p)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--row", type=int, default=0, help="which instance to show")
-    p.add_argument("--max-len", type=int, default=64)
+    p.add_argument("--row", type=_int_at_least(0), default=0, help="which instance to show")
+    p.add_argument("--max-len", type=_int_at_least(8), default=64)
     p.add_argument("--out", help="also write the dump to this file")
     p.set_defaults(func=cmd_encode)
 

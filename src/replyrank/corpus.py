@@ -3,8 +3,9 @@
 Two on-disk formats are supported:
 
 * TSV: ``label<TAB>utt_1<TAB>...<TAB>utt_m<TAB>response`` with a binary
-  label.  Two-speaker corpora carry no speaker names, so synthetic ids
-  ``spk_A``/``spk_B`` are assigned by strict alternation.
+  label, loaded as a one-candidate pool.  Two-speaker corpora carry no
+  speaker names, so synthetic ids ``spk_A``/``spk_B`` are assigned by strict
+  alternation.
 * JSONL: one object per line with fields ``index`` (int), ``from`` (str),
   ``to`` (str or null) and ``text`` (str).  A record may additionally carry
   ``candidates`` (list of ``{text, from, label}``, optionally ``to``), which
@@ -42,21 +43,8 @@ class Utterance:
 
 
 @dataclass(frozen=True)
-class DialogueExample:
-    """A (context, response candidate, binary label) training triple."""
-
-    context: tuple[Utterance, ...]
-    response: Utterance
-    label: int
-
-    def __post_init__(self) -> None:
-        if self.label not in (0, 1):
-            raise CorpusError("label must be 0 or 1, got %r" % (self.label,))
-
-
-@dataclass(frozen=True)
 class CandidatePool:
-    """One context with its labelled candidate responses."""
+    """One context with its labelled candidate responses; a TSV line is a pool of one."""
 
     context: tuple[Utterance, ...]
     candidates: tuple[tuple[Utterance, int], ...]
@@ -71,8 +59,8 @@ def alternating_speaker(position: int) -> str:
     return SPEAKER_A if position % 2 == 0 else SPEAKER_B
 
 
-def parse_tsv_example(line: str, line_number: int = 1) -> DialogueExample:
-    """Parse one ``label \\t utt_1 ... utt_m \\t response`` line.
+def parse_tsv_example(line: str, line_number: int = 1) -> CandidatePool:
+    """Parse one ``label \\t utt_1 ... utt_m \\t response`` line into a one-candidate pool.
 
     Speakers alternate ``spk_A``/``spk_B`` from the first utterance; the
     response continues the alternation.  ``spoken_to`` is unknown in this
@@ -96,7 +84,7 @@ def parse_tsv_example(line: str, line_number: int = 1) -> DialogueExample:
         raise CorpusError("line %d: the response is empty" % line_number)
     m = len(context)
     response = Utterance(index=m, spoken_from=alternating_speaker(m), spoken_to=None, text=texts[-1])
-    return DialogueExample(context=context, response=response, label=label)
+    return CandidatePool(context=context, candidates=((response, label),))
 
 
 def extract_spoken_to(text: str, known_speakers: set[str]) -> tuple[str | None, str]:
@@ -180,7 +168,7 @@ def _parse_jsonl_records(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
 def load_channel(path: str | Path, format: str = "jsonl"):
     """Load a corpus file in declared ``format``.
 
-    * ``tsv`` -> list of DialogueExample (one per line).
+    * ``tsv`` -> list of CandidatePool, one per line, each of one candidate.
     * ``jsonl`` without candidate records -> list of Utterance, indices
       validated as strictly increasing.
     * ``jsonl`` with candidate records -> list of CandidatePool; the context

@@ -68,16 +68,14 @@ def assign_roles_by_appearance(speakers: Iterable[str]) -> dict[str, int]:
     return roles
 
 
-def instance_from_example(example) -> MatchingInstance:
-    """Role-annotate a DialogueExample by speaker appearance order."""
-    speakers = [utt.spoken_from for utt in example.context] + [example.response.spoken_from]
-    roles = assign_roles_by_appearance(speakers)
-    context = tuple((utt, roles[utt.spoken_from]) for utt in example.context)
+def instance_from_example(context: Sequence[Utterance], response: Utterance, label: int) -> MatchingInstance:
+    """Role-annotate a context and a labelled response by speaker appearance order."""
+    roles = assign_roles_by_appearance([utt.spoken_from for utt in context] + [response.spoken_from])
     return MatchingInstance(
-        context=context,
-        response=example.response,
-        response_role=roles[example.response.spoken_from],
-        label=example.label,
+        context=tuple((utt, roles[utt.spoken_from]) for utt in context),
+        response=response,
+        response_role=roles[response.spoken_from],
+        label=label,
     )
 
 

@@ -596,8 +596,9 @@ def backward(
     for, and is scattered back to those pairs' read slots; it is
     (0, vocab) when the forward requested none.  The gradients are added
     into ``grads`` when it is given, and returned; otherwise into zeros.
+    The parameters are not checked here; ``training._objective`` checks
+    them once per step.
     """
-    validate_params(trace.config, params)
     if trace.final_hidden is None:
         raise ValueError("trace does not contain a completed forward pass")
     if grads is None:

@@ -25,8 +25,8 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .encoding import EncodedInput, MatchingInstance, build_input, encode_instance
-from .evaluation import rank_scores, recall_at_k
-from .model import ModelConfig, _is_int, backward, forward_batch, sigmoid, stack_inputs
+from .evaluation import recall_at_k
+from .model import ModelConfig, _is_int, backward, forward_batch, sigmoid, stack_inputs, validate_params
 from .tokenizer import MASK, NUM_SPECIALS, UNK, Vocabulary
 from .corpus import Utterance
 
@@ -335,8 +335,12 @@ def _objective(block_loss, encoded: list[EncodedInput], targets, params, model_c
     ``*_block`` function) scores one.  The loss is the sum over heads of
     each head's mean over the whole batch.  Each block's gradients are added
     into the step's one gradient dict before its trace is freed; without
-    ``backprop`` nothing is differentiated and ``grads`` is None.
+    ``backprop`` nothing is differentiated and ``grads`` is None.  The
+    parameters are checked once, before the first block, when ``backprop``:
+    a non-finite tensor is a ``NumericError`` before any update.
     """
+    if backprop:
+        validate_params(model_config, params)
     heads, grads = [], None
     for rows in _block_rows(encoded, model_config):
         losses, trace, d_heads = block_loss(encoded, targets, rows, params, model_config)
@@ -348,16 +352,14 @@ def _objective(block_loss, encoded: list[EncodedInput], targets, params, model_c
 
 
 def _validation_recall_at_1(pools: Sequence[Sequence[MatchingInstance]], params, model_config, vocab) -> float:
-    # score_pools lives in cli, whose module-level names perfbench traces;
+    # rank_pools lives in cli, whose module-level names perfbench traces;
     # cli imports this module, so the import is deferred to call time.
-    from .cli import score_pools
+    from .cli import rank_pools
 
     sizes = {len(pool) for pool in pools}
     if len(sizes) != 1:
         raise ValueError("validation pools must all have the same candidate count")
-    scores = score_pools(pools, params, model_config, vocab)
-    ranked = [rank_scores(s, [inst.label for inst in pool]) for s, pool in zip(scores, pools)]
-    return recall_at_k(ranked, n=sizes.pop(), k=1)
+    return recall_at_k(rank_pools(pools, params, model_config, vocab), n=sizes.pop(), k=1)
 
 
 def train(

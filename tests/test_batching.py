@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from replyrank import cli, training
 from replyrank.encoding import EncodedInput, encode_instance
+from replyrank.evaluation import rank_scores
 from replyrank.model import Batch, init_params, score_batch, stack_inputs
 from replyrank.tokenizer import CLS, PAD, SEP
 from replyrank.training import (
@@ -115,11 +116,14 @@ class TestScorePools:
 
     def test_scores_in_candidate_order(self):
         pools = self.mixed_pools()
-        scores = cli.score_pools(pools, self.params, self.config, self.vocab)
-        assert [len(s) for s in scores] == [len(pool) for pool in pools]
-        for pool, pool_scores in zip(pools, scores):
+        ranked = cli.rank_pools(pools, self.params, self.config, self.vocab)
+        assert len(ranked) == len(pools)
+        for pool, pool_ranked in zip(pools, ranked):
             encoded = [encode_instance(inst, self.vocab, self.config.max_seq_len) for inst in pool]
-            assert_close(pool_scores, score_batch(stack_inputs(encoded), self.params, self.config))
+            scores = score_batch(stack_inputs(encoded), self.params, self.config)
+            assert_close(pool_ranked.scores, scores)
+            assert pool_ranked.labels == tuple(inst.label for inst in pool)
+            assert pool_ranked.ranking == rank_scores(pool_ranked.scores, pool_ranked.labels).ranking
 
     def test_length_sorted_chunks_no_larger_than_a_pool(self, monkeypatch):
         pools = self.mixed_pools()
@@ -130,7 +134,7 @@ class TestScorePools:
             return score_batch(batch, params, config)
 
         monkeypatch.setattr(cli, "score_batch", recording_score_batch)
-        cli.score_pools(pools, self.params, self.config, self.vocab)
+        cli.rank_pools(pools, self.params, self.config, self.vocab)
         largest = max(len(pool) for pool in pools)
         assert sum(rows for rows, _ in shapes) == sum(len(pool) for pool in pools)
         assert all(rows <= largest for rows, _ in shapes)

@@ -10,8 +10,10 @@ import pytest
 
 from replyrank import cli
 from replyrank.cli import _prepare_training, build_parser, main
+from replyrank.disentangle import DEFAULT_CONTEXT_CAP
+from replyrank.encoding import encode_instance
 from replyrank.model import CHECKPOINT_FORMAT, load_checkpoint
-from replyrank.tokenizer import SPECIAL_TOKENS
+from replyrank.tokenizer import SPECIAL_TOKENS, build_vocab
 
 REPO = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO / "data" / "toy"
@@ -210,8 +212,8 @@ class TestTrainingCommands:
         from replyrank.tokenizer import Vocabulary
 
         vv = Vocabulary.load(vocab)
-        example = parse_tsv_example((workdir / "train.tsv").read_text().splitlines()[0])
-        inst = instance_from_example(example)
+        pool = parse_tsv_example((workdir / "train.tsv").read_text().splitlines()[0])
+        inst = instance_from_example(pool.context, *pool.candidates[0])
         swapped = MatchingInstance(
             context=tuple((u, 3 - role) for u, role in inst.context),
             response=inst.response,
@@ -572,7 +574,7 @@ class TestEvaluate:
         report_lines = out.read_text().strip().splitlines()
         values = dict(line.split("=") for line in report_lines)
 
-        from replyrank.cli import _load_instance_pools
+        from replyrank.cli import _load_pools
         from replyrank.encoding import encode_instance
         from replyrank.evaluation import mean_reciprocal_rank, rank_scores, recall_at_k
         from replyrank.model import score_batch, stack_inputs
@@ -581,7 +583,7 @@ class TestEvaluate:
         vv = Vocabulary.load(vocab)
         config, params = load_checkpoint(ckpt)
         ranked = []
-        for pool in _load_instance_pools(str(workdir / "pools.jsonl"), True, 25):
+        for pool in _load_pools(str(workdir / "pools.jsonl"), "jsonl", True, 25):
             batch = stack_inputs([encode_instance(i, vv, config.max_seq_len) for i in pool])
             ranked.append(rank_scores(score_batch(batch, params, config).tolist(),
                                       [i.label for i in pool]))
@@ -831,7 +833,7 @@ class TestEvaluate:
 
         pools = DATA_DIR / "test_pools.jsonl"  # 10 candidates per pool
         vocab, ckpt = self._untrained(workdir, pools)
-        monkeypatch.setattr(cli, "score_pools", no_scoring)
+        monkeypatch.setattr(cli, "rank_pools", no_scoring)
         capsys.readouterr()
         for recall in ("11:1", "10:1,11:1"):
             assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab, "--recall", recall) == 2
@@ -957,3 +959,65 @@ class TestContextCap:
         err = capsys.readouterr().err
         assert err.startswith("usage error: argument --cap: must be an integer >= 1")
         assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, minimum",
+    [
+        ("build-vocab", "--min-count", "0", 1),
+        ("build-vocab", "--min-count", "two", 1),
+        ("build-vocab", "--max-size", "7", 8),
+        ("build-vocab", "--max-size", "1e4", 8),
+        ("encode", "--max-len", "3", 8),
+        ("encode", "--max-len", "64.0", 8),
+        ("encode", "--row", "-1", 0),
+        ("encode", "--row", "x", 0),
+    ],
+)
+def test_bad_numeric_flag_is_usage_error_naming_it_before_loading(tmp_path, capsys, command, flag, value, minimum):
+    # every input is missing, so loading any of them before the check would be a data error
+    missing = tmp_path / "missing"
+    argv = {
+        "build-vocab": ["--input", missing / "train.tsv", "--out", tmp_path / "vocab.txt"],
+        "encode": ["--data", missing / "train.tsv", "--vocab", missing / "vocab.txt"],
+    }[command]
+    assert run(command, *argv, flag, value) == 1
+    assert capsys.readouterr().err == "usage error: argument %s: must be an integer >= %d, got %r\n" % (
+        flag, minimum, value)
+    assert not (tmp_path / "vocab.txt").exists()
+
+
+class TestTsvLineIsOneCandidatePool:
+    """A TSV file and the same lines written as one-candidate JSONL pools load alike under --no-disentangle."""
+
+    @staticmethod
+    def _as_jsonl_pools(tsv: Path, out: Path) -> None:
+        records = []
+        for line in tsv.read_text(encoding="utf-8").splitlines():
+            label, *texts = line.split("\t")
+            pool = [{"index": i, "from": "spk_" + "AB"[i % 2], "to": None, "text": text}
+                    for i, text in enumerate(texts[:-1])]
+            responder = "spk_" + "AB"[(len(texts) - 1) % 2]
+            pool[-1]["candidates"] = [{"text": texts[-1], "from": responder, "label": int(label)}]
+            records.extend(pool)
+        out.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+
+    @pytest.mark.parametrize("cap", [2, DEFAULT_CONTEXT_CAP])
+    def test_same_instances_and_encodings(self, tmp_path, cap):
+        tsv, jsonl = DATA_DIR / "train.tsv", tmp_path / "train.jsonl"
+        self._as_jsonl_pools(tsv, jsonl)
+        # TSV contexts are never disentangled, whatever the flag says
+        from_tsv = cli._load_pools(str(tsv), "tsv", True, cap)
+        from_jsonl = cli._load_pools(str(jsonl), "jsonl", False, cap)
+        assert [len(pool) for pool in from_tsv] == [1] * 160
+        assert from_jsonl == from_tsv
+        vocab = build_vocab(cli._collect_texts([str(tsv)], "tsv"))
+        for (tsv_inst,), (jsonl_inst,) in zip(from_tsv, from_jsonl):
+            assert encode_instance(jsonl_inst, vocab, 64) == encode_instance(tsv_inst, vocab, 64)
+
+    def test_same_vocabulary(self, tmp_path):
+        tsv, jsonl = DATA_DIR / "train.tsv", tmp_path / "train.jsonl"
+        self._as_jsonl_pools(tsv, jsonl)
+        assert run("build-vocab", "--input", tsv, "--out", tmp_path / "tsv_vocab.txt") == 0
+        assert run("build-vocab", "--input", jsonl, "--format", "jsonl", "--out", tmp_path / "jsonl_vocab.txt") == 0
+        assert (tmp_path / "jsonl_vocab.txt").read_bytes() == (tmp_path / "tsv_vocab.txt").read_bytes()

@@ -1,11 +1,13 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from replyrank.corpus import (
     CandidatePool,
     CorpusError,
-    DialogueExample,
     Utterance,
     alternating_speaker,
     extract_spoken_to,
@@ -16,19 +18,20 @@ from replyrank.corpus import (
 
 class TestParseTsvExample:
     def test_basic_line(self):
-        ex = parse_tsv_example("1\thello\thi there\tgood, you?")
-        assert ex.label == 1
-        assert [(u.spoken_from, u.text) for u in ex.context] == [
+        pool = parse_tsv_example("1\thello\thi there\tgood, you?")
+        [(response, label)] = pool.candidates
+        assert label == 1
+        assert [(u.spoken_from, u.text) for u in pool.context] == [
             ("spk_A", "hello"),
             ("spk_B", "hi there"),
         ]
-        assert (ex.response.spoken_from, ex.response.text) == ("spk_A", "good, you?")
-        assert all(u.spoken_to is None for u in ex.context)
+        assert (response.spoken_from, response.text) == ("spk_A", "good, you?")
+        assert all(u.spoken_to is None for u in pool.context)
 
     def test_single_context_utterance(self):
-        ex = parse_tsv_example("0\thow are you\tfine")
-        assert ex.label == 0
-        assert len(ex.context) == 1
+        pool = parse_tsv_example("0\thow are you\tfine")
+        assert [label for _, label in pool.candidates] == [0]
+        assert len(pool.context) == 1
 
     def test_too_few_fields(self):
         with pytest.raises(CorpusError, match="line 7"):
@@ -49,11 +52,12 @@ class TestParseTsvExample:
         for _ in range(50):
             m = int(rng.integers(1, 12))
             line = "1\t" + "\t".join("u%d" % i for i in range(m + 1))
-            ex = parse_tsv_example(line)
-            for u in ex.context:
+            pool = parse_tsv_example(line)
+            for u in pool.context:
                 assert u.spoken_from == ("spk_A" if u.index % 2 == 0 else "spk_B")
-            assert ex.response.spoken_from == alternating_speaker(m)
-            assert [u.index for u in ex.context] == list(range(m))
+            [(response, _)] = pool.candidates
+            assert (response.index, response.spoken_from) == (m, alternating_speaker(m))
+            assert [u.index for u in pool.context] == list(range(m))
 
 
 class TestExtractSpokenTo:
@@ -86,9 +90,10 @@ class TestLoadChannel:
     def test_tsv_count(self, tmp_path):
         path = tmp_path / "data.tsv"
         path.write_text("1\ta\tb\n0\tc\td\n1\te\tf\tg\n")
-        examples = load_channel(path, "tsv")
-        assert len(examples) == 3
-        assert all(isinstance(ex, DialogueExample) for ex in examples)
+        pools = load_channel(path, "tsv")
+        assert len(pools) == 3
+        assert all(isinstance(pool, CandidatePool) and len(pool.candidates) == 1 for pool in pools)
+        assert [label for pool in pools for _, label in pool.candidates] == [1, 0, 1]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -201,7 +206,7 @@ class TestLoadChannel:
 
 
 class TestRoundTrip:
-    """A pool written as literal JSONL parses to the same triple as its TSV line."""
+    """A one-candidate pool written as literal JSONL parses to the same pool as its TSV line."""
 
     @staticmethod
     def _load_pool(tmp_path, lines):
@@ -224,22 +229,18 @@ class TestRoundTrip:
             ],
         }
         for line, records in fixtures.items():
-            example = parse_tsv_example(line)
-            pool = self._load_pool(tmp_path, records)
-            assert pool.context == example.context
-            assert pool.candidates == ((example.response, example.label),)
+            assert self._load_pool(tmp_path, records) == parse_tsv_example(line)
 
     def test_random_examples_round_trip(self, tmp_path, rng):
         for trial in range(20):
             m = int(rng.integers(1, 8))
             texts = ["token %d here" % i for i in range(m + 1)]
-            example = parse_tsv_example("%d\t" % (trial % 2) + "\t".join(texts))
+            from_tsv = parse_tsv_example("%d\t" % (trial % 2) + "\t".join(texts))
             records = [{"index": i, "from": "spk_" + "AB"[i % 2], "text": text} for i, text in enumerate(texts[:-1])]
             records[-1]["candidates"] = [{"text": texts[-1], "from": "spk_" + "AB"[m % 2], "label": trial % 2}]
             pool = self._load_pool(tmp_path, [json.dumps(record) for record in records])
             assert len(pool.context) == m
-            assert pool.context == example.context
-            assert pool.candidates == ((example.response, example.label),)
+            assert pool == from_tsv
 
     def test_pool_records_preserve_spoken_to(self, tmp_path):
         pool = self._load_pool(tmp_path, [
@@ -255,12 +256,31 @@ class TestInvariants:
         with pytest.raises(CorpusError):
             Utterance(index=0, spoken_from="", spoken_to=None, text="x")
 
-    def test_bad_label_rejected(self):
-        utt = Utterance(index=0, spoken_from="a", spoken_to=None, text="x")
-        with pytest.raises(CorpusError):
-            DialogueExample(context=(utt,), response=utt, label=2)
+    def test_bad_label_rejected(self, tmp_path):
+        # a label outside {0, 1} is rejected with its line or record in either format
+        tsv = tmp_path / "data.tsv"
+        tsv.write_text("1\ta\tb\n2\tc\td\n")
+        with pytest.raises(CorpusError, match="^line 2: label must be '0' or '1', got '2'$"):
+            load_channel(tsv, "tsv")
+        jsonl = tmp_path / "pools.jsonl"
+        jsonl.write_text(json.dumps({"index": 0, "from": "a", "text": "c",
+                                     "candidates": [{"text": "d", "from": "b", "label": 2}]}) + "\n")
+        with pytest.raises(CorpusError, match="^record 1: candidate label must be 0 or 1, got 2$"):
+            load_channel(jsonl, "jsonl")
 
     def test_pool_requires_candidates(self):
         utt = Utterance(index=0, spoken_from="a", spoken_to=None, text="x")
         with pytest.raises(CorpusError):
             CandidatePool(context=(utt,), candidates=())
+
+
+def test_shipped_toy_corpus_is_what_its_generator_writes(tmp_path):
+    repo = Path(__file__).resolve().parent.parent
+    subprocess.run([sys.executable, str(repo / "scripts" / "make_toy_corpus.py"), "--out-dir", str(tmp_path)],
+                   check=True, capture_output=True)
+    shipped = repo / "data" / "toy"
+    names = sorted(path.name for path in shipped.iterdir())
+    assert names == ["test_pools.jsonl", "train.tsv", "valid.tsv", "valid_pools.jsonl"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name

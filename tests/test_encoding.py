@@ -171,8 +171,9 @@ class TestRoleAssignment:
         assert roles == {"a": 1, "b": 2, "c": 1}
 
     def test_instance_from_example_alternation(self):
-        example = parse_tsv_example("1\thello\thi there\tgood, you?")
-        inst = instance_from_example(example)
+        pool = parse_tsv_example("1\thello\thi there\tgood, you?")
+        [(response, label)] = pool.candidates
+        inst = instance_from_example(pool.context, response, label)
         assert [role for _, role in inst.context] == [1, 2]
         assert inst.response_role == 1
         assert inst.label == 1

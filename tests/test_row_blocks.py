@@ -16,17 +16,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import replyrank.model
 from replyrank import training
-from replyrank.model import ModelConfig, init_params, stack_inputs
+from replyrank.model import ModelConfig, NumericError, init_params, stack_inputs, validate_params
 from replyrank.training import (
+    TrainConfig,
     _adaptation_block,
     _block_rows,
     _matching_block,
     _objective,
     apply_masking,
     plan_masking,
+    train,
 )
-from helpers import VOCAB, full_length_input, random_encoded
+from helpers import VOCAB, full_length_input, random_encoded, tiny_model_config, topic_instances, topic_vocab
 
 REPO = Path(__file__).resolve().parent.parent
 ONE_BLOCK = 2**62
@@ -123,6 +126,42 @@ class TestBlocksMatchOneBlock:
             assert [enc for block in stacked for enc in block] == phase_inputs
             for block in stacked:
                 assert stack_inputs(block).token_ids.shape[1] == max(len(enc) for enc in block)
+
+
+class TestParameterCheck:
+    def test_once_per_multi_block_step(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        config = ModelConfig(vocab_size=len(VOCAB), hidden_dim=8, num_layers=1, num_heads=2, ffn_dim=8, max_seq_len=32)
+        params = init_params(config, rng)
+        inputs, masked, plans, nsp_labels = masked_step(rng, 9, max_len=32)
+        width = max(len(enc) for enc in inputs)
+        monkeypatch.setattr(training, "BLOCK_BYTES", 2 * 8 * (2 * width * width + 8 * width))  # 2-row blocks
+        assert len(_block_rows(inputs, config)) == 5
+        checked = []
+
+        def counting_validate_params(config, params):
+            checked.append(config)
+            validate_params(config, params)
+
+        for module in (training, replyrank.model):  # the step's own check, and any inside the model's forward or backward
+            monkeypatch.setattr(module, "validate_params", counting_validate_params)
+        for phase_inputs, block_loss, targets in ((inputs, _matching_block, np.ones(9)),
+                                                  (masked, _adaptation_block, (plans, nsp_labels))):
+            checked.clear()
+            _objective(block_loss, phase_inputs, targets, params, config)
+            assert checked == [config]
+
+    def test_finetune_step_rejects_a_tensor_its_forward_never_reads(self, monkeypatch):
+        vocab = topic_vocab()
+        config = tiny_model_config(vocab_size=len(vocab), max_seq_len=32)
+        params = init_params(config, np.random.default_rng(0))
+        params["mlm_head.w"][0, 0] = np.nan
+        updates = []
+        monkeypatch.setattr(training, "adamw_step", lambda *args, **kwargs: updates.append(args))
+        instances = topic_instances(np.random.default_rng(1), 8)
+        with pytest.raises(NumericError, match="^parameter mlm_head.w contains non-finite values$"):
+            train("finetune", instances, params, config, TrainConfig(batch_size=4, max_epochs=1), vocab)
+        assert updates == []
 
 
 def test_adapt_step_memory_at_default_dimensions_does_not_grow_with_batch():
