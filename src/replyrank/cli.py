@@ -20,7 +20,7 @@ import resource
 import sys
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -31,7 +31,7 @@ import numpy as np
 import encodings.cp437  # noqa: F401
 import numpy.random  # noqa: F401
 
-from .corpus import CandidatePool, CorpusError, extract_spoken_to, load_channel, write_channel
+from .corpus import CandidatePool, CorpusError, extract_spoken_to, load_channel, read_text, write_channel
 from .disentangle import DEFAULT_CONTEXT_CAP, cap_context, filter_channel
 from .encoding import MatchingInstance, encode_instance, format_tracks, instance_from_example, instance_from_filtered
 from .evaluation import DEFAULT_THRESHOLD_GRID, RankedPool, compute_report, format_report, rank_scores, select_threshold
@@ -98,27 +98,14 @@ def _keep_freed_memory() -> None:
     mallopt(M_TRIM_THRESHOLD, KEEP_FREED_BYTES)
 
 
-@dataclass(frozen=True)
-class _Start:
-    """When a command started, and the process's minor page faults up to then."""
-
-    iso: str
-    monotonic: float
-    minor_faults: int
-
-
-def _start() -> _Start:
-    return _Start(_now(), time.monotonic(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
-
-
-def _resources(started: _Start) -> dict:
-    """Wall time and minor faults since ``started``, and the process's lifetime peak RSS."""
+def _resources(clock: float, faults: int) -> dict:
+    """Wall time and minor faults since ``clock`` and ``faults`` were read, and the process's lifetime peak RSS."""
     usage = resource.getrusage(resource.RUSAGE_SELF)
     rss_unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is bytes on macOS, KiB elsewhere
     return {
-        "wall_s": time.monotonic() - started.monotonic,
+        "wall_s": time.monotonic() - clock,
         "peak_rss_mb": usage.ru_maxrss * rss_unit / 2**20,
-        "minor_faults": usage.ru_minflt - started.minor_faults,
+        "minor_faults": usage.ru_minflt - faults,
     }
 
 
@@ -173,19 +160,20 @@ def _environment() -> dict:
     }
 
 
-def _write_manifest(command: str, args: argparse.Namespace, inputs: list, outputs: list, seed, started: _Start) -> None:
+def _write_manifest(args, inputs: list, outputs: list, started: str, clock: float, faults: int) -> None:
+    """Record the run in ``<first output>.manifest.json``; a run that wrote no file gets none."""
     outputs = [Path(p) for p in outputs if p]
     if not outputs:
         return
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": {k: v for k, v in sorted(vars(args).items()) if k not in ("command", "func")},
         "inputs": {str(p): _sha256(Path(p)) for p in inputs if p},
         "outputs": [str(p) for p in outputs],
-        "seed": seed,
-        "started": started.iso,
+        "seed": getattr(args, "seed", None),
+        "started": started,
         "finished": _now(),
-        "resources": _resources(started),
+        "resources": _resources(clock, faults),
         "environment": _environment(),
     }
     path = Path(str(outputs[0]) + ".manifest.json")
@@ -199,8 +187,10 @@ def _load_config(name: str | None) -> dict:
     if not path.exists():
         raise UsageError("config file %s not found" % path)
     try:
-        config = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        config = json.loads(read_text(path))
+    except CorpusError as exc:
+        raise UsageError("config file %s" % exc) from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError("config file %s is not valid JSON: %s" % (path, exc)) from exc
     if not isinstance(config, dict):
         raise UsageError("config file %s must hold a JSON object" % path)
@@ -267,7 +257,7 @@ def _collect_texts(paths: list[str], fmt: str) -> list[str]:
     texts = []
     for path in paths:
         if fmt == "text":
-            texts.extend(Path(path).read_text(encoding="utf-8").splitlines())
+            texts.extend(read_text(path).splitlines())
             continue
         for item in load_channel(path, fmt):
             if isinstance(item, CandidatePool):
@@ -279,19 +269,17 @@ def _collect_texts(paths: list[str], fmt: str) -> list[str]:
 
 
 # --- commands ---------------------------------------------------------------
+# Each command returns the files it read and the files it wrote; main records them in the run's manifest.
 
 
-def cmd_build_vocab(args) -> int:
-    started = _start()
+def cmd_build_vocab(args) -> tuple[list, list]:
     vocab = build_vocab(_collect_texts(args.input, args.format), args.min_count, args.max_size)
     vocab.save(args.out)
     print("wrote vocabulary of %d tokens to %s" % (len(vocab), args.out))
-    _write_manifest("build-vocab", args, args.input, [args.out], None, started)
-    return EXIT_OK
+    return args.input, [args.out]
 
 
-def cmd_disentangle(args) -> int:
-    started = _start()
+def cmd_disentangle(args) -> tuple[list, list]:
     loaded = load_channel(args.channel, "jsonl")
     if loaded and isinstance(loaded[0], CandidatePool):
         raise CorpusError("%s contains candidate pools, expected a bare utterance channel" % args.channel)
@@ -314,31 +302,36 @@ def cmd_disentangle(args) -> int:
         extra={utt.index: {"role": role.value} for utt, role in filtered.utterances},
     )
     print("kept %d of %d utterances for %s" % (len(filtered.utterances), len(loaded), args.speaker))
-    _write_manifest("disentangle", args, [args.channel], [args.out], None, started)
-    return EXIT_OK
-
-
-# The sizes a config's "model" section must agree on with a --checkpoint-in.
-_MODEL_SIZES = ("hidden_dim", "num_layers", "num_heads", "ffn_dim", "max_seq_len")
+    return [args.channel], [args.out]
 
 
 # settings a config section must not hold, with the flag that sets each
-_FLAG_SETTINGS = {"seed": "--seed", "freeze_speaker_table": "--no-speaker-embeddings"}
+_FLAG_SETTINGS = {"seed": "--seed", "freeze_speaker_table": "--no-speaker-embeddings", "vocab_size": "--vocab"}
 
 
-def _prepare_training(args, phase: str):
+def _load_model(path: str, vocab: Vocabulary):
+    """The model config and parameters of checkpoint ``path``, whose vocabulary must be ``vocab``'s size."""
+    model_config, params = load_checkpoint(path)
+    if model_config.vocab_size != len(vocab):
+        raise CorpusError("checkpoint vocab size %d does not match vocabulary %d"
+                          % (model_config.vocab_size, len(vocab)))
+    return model_config, params
+
+
+def _prepare_training(args):
+    phase = args.command
     config = _load_config(args.config)
     for name in config:
         if name not in ("model", "train", "adapt", "finetune"):
             raise UsageError("unknown config section %r (expected model, train, adapt or finetune)" % name)
     train_section, model_section = _config_section(config, "train"), _config_section(config, "model")
     # Each phase section (e.g. "adapt": {"max_epochs": ...}) overrides "train".  Both are
-    # checked whichever phase runs.  The seed and the speaker ablation come only from
-    # their flags.
-    for name in ("train", "adapt", "finetune"):
+    # checked whichever phase runs.  The seed, the speaker ablation and the vocabulary
+    # size come only from their flags.
+    for name in ("model", "train", "adapt", "finetune"):
         for key, flag in _FLAG_SETTINGS.items():
             if key in _config_section(config, name):
-                raise UsageError("config section %r sets %s; set it with %s only" % (name, key, flag))
+                raise UsageError("config section %r sets %s, which comes from %s only" % (name, key, flag))
     try:
         train_config = {
             name: TrainConfig(**{**train_section, **_config_section(config, name)}, seed=args.seed,
@@ -359,26 +352,20 @@ def _prepare_training(args, phase: str):
         raise UsageError("bad model config: %s" % exc) from exc
 
     if args.checkpoint_in:
-        model_config, params = load_checkpoint(args.checkpoint_in)
-        if model_config.vocab_size != len(vocab):
-            raise CorpusError(
-                "checkpoint vocab size %d does not match vocabulary %d"
-                % (model_config.vocab_size, len(vocab))
-            )
-        for key in _MODEL_SIZES:
-            if key in model_section and model_section[key] != getattr(model_config, key):
-                raise UsageError(
-                    "config sets model %s %d but checkpoint %s has %d"
-                    % (key, model_section[key], args.checkpoint_in, getattr(model_config, key))
-                )
+        model_config, params = _load_model(args.checkpoint_in, vocab)
+        for key, size in model_section.items():
+            if size != getattr(model_config, key):
+                raise UsageError("config sets model %s %d but checkpoint %s has %d"
+                                 % (key, size, args.checkpoint_in, getattr(model_config, key)))
     else:
         params = init_params(model_config, np.random.default_rng(train_config.seed))
     return vocab, model_config, train_config, params
 
 
-def _run_phase(args, phase: str) -> int:
-    started = _start()
-    vocab, model_config, train_config, params = _prepare_training(args, phase)
+def cmd_train(args) -> tuple[list, list]:
+    """``adapt`` or ``finetune``, whichever ``args.command`` names."""
+    phase = args.command
+    vocab, model_config, train_config, params = _prepare_training(args)
     instances = _flat(_load_pools(args.data, args.format, not args.no_disentangle, args.cap))
     if phase == "adapt" and sum(inst.label == 1 for inst in instances) < 2:
         raise CorpusError("%s has fewer than 2 label-1 examples to adapt on" % args.data)
@@ -409,16 +396,7 @@ def _run_phase(args, phase: str) -> int:
         print("selected epoch %d checkpoint (validation metric %.6f)"
               % (result.best_epoch, result.validation_history[result.best_epoch]))
     inputs = [args.data, args.vocab, args.validation, args.checkpoint_in, args.config]
-    _write_manifest(phase, args, inputs, [args.checkpoint_out, args.loss_log], train_config.seed, started)
-    return EXIT_OK
-
-
-def cmd_adapt(args) -> int:
-    return _run_phase(args, "adapt")
-
-
-def cmd_finetune(args) -> int:
-    return _run_phase(args, "finetune")
+    return inputs, [args.checkpoint_out, args.loss_log]
 
 
 def _parse_recall_cutoffs(arg: str | None, pools: list[list[MatchingInstance]]) -> list[tuple[int, int]]:
@@ -463,13 +441,9 @@ def _parse_recall_cutoffs(arg: str | None, pools: list[list[MatchingInstance]]) 
     return cutoffs
 
 
-def cmd_evaluate(args) -> int:
-    started = _start()
+def cmd_evaluate(args) -> tuple[list, list]:
     vocab = Vocabulary.load(args.vocab)
-    model_config, params = load_checkpoint(args.checkpoint)
-    if model_config.vocab_size != len(vocab):
-        raise CorpusError("checkpoint vocab size %d does not match vocabulary %d"
-                          % (model_config.vocab_size, len(vocab)))
+    model_config, params = _load_model(args.checkpoint, vocab)
     pools = _load_pools(args.pools, "jsonl", not args.no_disentangle, args.cap)
     unanswered = sum(not any(inst.label == 1 for inst in pool) for pool in pools)
     if unanswered == len(pools):
@@ -488,12 +462,10 @@ def cmd_evaluate(args) -> int:
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
-    _write_manifest("evaluate", args, [args.pools, args.checkpoint, args.vocab], [args.out], None, started)
-    return EXIT_OK
+    return [args.pools, args.checkpoint, args.vocab], [args.out]
 
 
-def cmd_encode(args) -> int:
-    started = _start()
+def cmd_encode(args) -> tuple[list, list]:
     vocab = Vocabulary.load(args.vocab)
     instances = _flat(_load_pools(args.data, args.format, not args.no_disentangle, args.cap))
     if args.row >= len(instances):
@@ -503,8 +475,7 @@ def cmd_encode(args) -> int:
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
-        _write_manifest("encode", args, [args.data, args.vocab], [args.out], None, started)
-    return EXIT_OK
+    return [args.data, args.vocab], [args.out]
 
 
 def _now() -> str:
@@ -576,15 +547,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_disentangle)
 
-    p = sub.add_parser("adapt", help="in-domain adaptation (corruption + next-utterance objectives)")
-    _add_data_args(p)
-    _add_train_args(p)
-    p.set_defaults(func=cmd_adapt)
-
-    p = sub.add_parser("finetune", help="fine-tune the matching head")
-    _add_data_args(p)
-    _add_train_args(p)
-    p.set_defaults(func=cmd_finetune)
+    for phase, summary in (("adapt", "in-domain adaptation (corruption + next-utterance objectives)"),
+                           ("finetune", "fine-tune the matching head")):
+        p = sub.add_parser(phase, help=summary)
+        _add_data_args(p)
+        _add_train_args(p)
+        p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="rank candidate pools and report metrics")
     p.add_argument("--pools", required=True, help="candidate pools JSONL")
@@ -621,7 +589,10 @@ def main(argv=None) -> int:
         warnings.showwarning = _print_warning
         try:
             args = parser.parse_args(argv)
-            return args.func(args)
+            started, clock, faults = _now(), time.monotonic(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            inputs, outputs = args.func(args)
+            _write_manifest(args, inputs, outputs, started, clock, faults)
+            return EXIT_OK
         except UsageError as exc:
             print("usage error: %s" % exc, file=sys.stderr)
             return EXIT_USAGE

@@ -16,12 +16,19 @@ Two on-disk formats are supported:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 SPEAKER_A = "spk_A"
 SPEAKER_B = "spk_B"
+
+# A JSON "\ud800" escape decodes to a lone UTF-16 surrogate, which UTF-8 cannot
+# encode; an escaped pair decodes to one character.  UTF-8 text holds no
+# surrogates, so only a line with such an escape can yield one.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class CorpusError(Exception):
@@ -158,15 +165,25 @@ def _parse_jsonl_records(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CorpusError("record %d: invalid JSON (%s)" % (number, exc)) from exc
         if not isinstance(record, dict):
             raise CorpusError("record %d: expected a JSON object" % number)
+        if _SURROGATE_ESCAPE.search(line) and _SURROGATE.search(json.dumps(record, ensure_ascii=False)):
+            raise CorpusError("record %d: holds an unpaired UTF-16 surrogate" % number)
         yield number, record
 
 
+def read_text(path: str | Path) -> str:
+    """The text of the UTF-8 file ``path``; bytes that are not UTF-8 are a CorpusError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError("%s: byte %d is not UTF-8 (%s)" % (path, exc.start, exc.reason)) from exc
+
+
 def load_channel(path: str | Path, format: str = "jsonl"):
-    """Load a corpus file in declared ``format``.
+    """Load a corpus file in declared ``format``; every CorpusError it raises starts with ``path``.
 
     * ``tsv`` -> list of CandidatePool, one per line, each of one candidate.
     * ``jsonl`` without candidate records -> list of Utterance, indices
@@ -176,8 +193,14 @@ def load_channel(path: str | Path, format: str = "jsonl"):
       file, and records after the last pool, which belong to none, are an
       error.
     """
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = read_text(path)
+    try:
+        return _parse_channel(text, format)
+    except CorpusError as exc:
+        raise CorpusError("%s: %s" % (path, exc)) from exc
+
+
+def _parse_channel(text: str, format: str):
     if format == "tsv":
         return [
             parse_tsv_example(line, number)

@@ -629,13 +629,14 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, Params]:
             raise ValueError("a single array, not an archive")
         with archive:
             entries = {name: archive[name] for name in archive.files}
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+    except (ValueError, EOFError, zipfile.BadZipFile, NotImplementedError, RuntimeError) as exc:
+        # NotImplementedError: a zip method or version zipfile cannot read; RuntimeError: an encrypted member
         raise CheckpointError("checkpoint %s is not a valid .npz" % path) from exc
     if "__meta__" not in entries:
         raise CheckpointError("checkpoint %s is missing its metadata entry" % path)
     try:
         meta = json.loads(str(entries.pop("__meta__")))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CheckpointError("checkpoint %s has unreadable metadata" % path) from exc
     version = meta.get("format") if isinstance(meta, dict) else None
     if version != CHECKPOINT_FORMAT:

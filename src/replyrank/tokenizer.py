@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from .corpus import read_text
+
 PAD, UNK, CLS, SEP, MASK, EOU, EOT = range(7)
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "[EOU]", "[EOT]")
 NUM_SPECIALS = len(SPECIAL_TOKENS)
@@ -40,7 +42,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        tokens = Path(path).read_text(encoding="utf-8").splitlines()
+        tokens = read_text(path).splitlines()
         if tuple(tokens[:NUM_SPECIALS]) != SPECIAL_TOKENS:
             raise VocabularyError(
                 "vocabulary file %s does not start with the %d special tokens" % (path, NUM_SPECIALS)

@@ -255,7 +255,7 @@ class TestTrainingCommands:
         assert run("finetune", "--data", bad, "--vocab", vocab,
                    "--config", workdir / "config.json",
                    "--checkpoint-out", workdir / "x.npz") == 2
-        assert capsys.readouterr().err == "data error: line 2: the response is empty\n"
+        assert capsys.readouterr().err == "data error: %s: line 2: the response is empty\n" % bad
 
     def test_no_disentangle_uses_raw_pool_contexts(self, workdir):
         vocab = self._vocab(workdir)
@@ -503,7 +503,7 @@ class TestShippedConfigs:
         vocab.write_text("\n".join(SPECIAL_TOKENS + ("hello",)) + "\n")
         args = build_parser().parse_args([phase, "--data", "unused.tsv", "--vocab", str(vocab),
                                           "--config", str(config), "--checkpoint-out", "unused.npz"])
-        _, model_config, train_config, _ = _prepare_training(args, phase)
+        _, model_config, train_config, _ = _prepare_training(args)
         sections = json.loads(config.read_text())
         train = {**sections["train"], **sections.get(phase, {})}
         assert {key: getattr(train_config, key) for key in train} == train
@@ -649,7 +649,7 @@ class TestEvaluate:
         capsys.readouterr()
         assert run("evaluate", "--pools", bad, "--checkpoint", ckpt, "--vocab", vocab) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error: record 2: candidate 'text'")
+        assert err.startswith("data error: %s: record 2: candidate 'text'" % bad)
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("text", ["", "   "])
@@ -661,7 +661,7 @@ class TestEvaluate:
         bad.write_text(pools.read_text().replace('"fine thanks"', json.dumps(text)))
         capsys.readouterr()
         assert run("evaluate", "--pools", bad, "--checkpoint", ckpt, "--vocab", vocab) == 2
-        assert capsys.readouterr().err == "data error: record 2: candidate 'text' is empty\n"
+        assert capsys.readouterr().err == "data error: %s: record 2: candidate 'text' is empty\n" % bad
 
     @pytest.mark.parametrize(
         "meta, message",
@@ -856,7 +856,7 @@ class TestEvaluate:
         capsys.readouterr()
         assert run("evaluate", "--pools", trailing, "--checkpoint", ckpt, "--vocab", vocab) == 2
         assert capsys.readouterr().err == (
-            "data error: record 3: follows the last candidate record and belongs to no pool\n"
+            "data error: %s: record 3: follows the last candidate record and belongs to no pool\n" % trailing
         )
 
     @pytest.mark.parametrize("content", [b"not an archive", b"PK\x03\x04truncated", b"", NPY_BYTES])

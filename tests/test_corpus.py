@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -159,7 +160,8 @@ class TestLoadChannel:
             {"index": 2, "from": "dan", "text": "also left over"},
         ]
         path.write_text("\n".join(json.dumps(r) for r in lines) + "\n")
-        with pytest.raises(CorpusError, match="^record 2: follows the last candidate record and belongs to no pool$"):
+        message = "^%s: record 2: follows the last candidate record and belongs to no pool$" % re.escape(str(path))
+        with pytest.raises(CorpusError, match=message):
             load_channel(path, "jsonl")
 
     @staticmethod
@@ -260,12 +262,13 @@ class TestInvariants:
         # a label outside {0, 1} is rejected with its line or record in either format
         tsv = tmp_path / "data.tsv"
         tsv.write_text("1\ta\tb\n2\tc\td\n")
-        with pytest.raises(CorpusError, match="^line 2: label must be '0' or '1', got '2'$"):
+        with pytest.raises(CorpusError, match="^%s: line 2: label must be '0' or '1', got '2'$" % re.escape(str(tsv))):
             load_channel(tsv, "tsv")
         jsonl = tmp_path / "pools.jsonl"
         jsonl.write_text(json.dumps({"index": 0, "from": "a", "text": "c",
                                      "candidates": [{"text": "d", "from": "b", "label": 2}]}) + "\n")
-        with pytest.raises(CorpusError, match="^record 1: candidate label must be 0 or 1, got 2$"):
+        message = "^%s: record 1: candidate label must be 0 or 1, got 2$" % re.escape(str(jsonl))
+        with pytest.raises(CorpusError, match=message):
             load_channel(jsonl, "jsonl")
 
     def test_pool_requires_candidates(self):
