@@ -7,7 +7,7 @@ ranking/evaluation harness.
 """
 
 from .corpus import CandidatePool, CorpusError, Utterance
-from .disentangle import FilteredContext, MatchRole, cap_context, filter_channel
+from .disentangle import FilteredContext, filter_channel
 from .encoding import EncodedInput, MatchingInstance, build_input, encode_instance, mark_turns
 from .evaluation import (
     MetricReport,
@@ -29,7 +29,6 @@ __all__ = [
     "CorpusError",
     "EncodedInput",
     "FilteredContext",
-    "MatchRole",
     "MatchingInstance",
     "MetricReport",
     "ModelConfig",
@@ -40,7 +39,6 @@ __all__ = [
     "backward",
     "build_input",
     "build_vocab",
-    "cap_context",
     "encode_instance",
     "filter_channel",
     "forward_batch",

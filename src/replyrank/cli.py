@@ -32,8 +32,8 @@ import encodings.cp437  # noqa: F401
 import numpy.random  # noqa: F401
 
 from .corpus import CandidatePool, CorpusError, extract_spoken_to, load_channel, read_text, write_channel
-from .disentangle import DEFAULT_CONTEXT_CAP, cap_context, filter_channel
-from .encoding import MatchingInstance, encode_instance, format_tracks, instance_from_example, instance_from_filtered
+from .disentangle import DEFAULT_CONTEXT_CAP, filter_channel
+from .encoding import MatchingInstance, encode_instance, format_tracks, instance_from_example, speaker_role
 from .evaluation import DEFAULT_THRESHOLD_GRID, RankedPool, compute_report, format_report, rank_scores, select_threshold
 from .model import (
     CheckpointError,
@@ -186,6 +186,8 @@ def _load_config(name: str | None) -> dict:
     path = Path(name)
     if not path.exists():
         raise UsageError("config file %s not found" % path)
+    if not path.is_file():
+        raise UsageError("config file %s is not a file" % path)
     try:
         config = json.loads(read_text(path))
     except CorpusError as exc:
@@ -208,9 +210,10 @@ def _load_pools(path: str, fmt: str, disentangle: bool, cap: int) -> list[list[M
     """Every candidate pool in ``path``, one instance per candidate; a TSV line is a one-candidate pool.
 
     With ``disentangle``, a JSONL candidate's context is its speaker's
-    filtered thread, or the raw context tail where that thread is empty.  TSV
-    contexts are never filtered: their utterances carry no addressee, so
-    filtering would keep only the responder's own lines.
+    filtered thread, or the raw context where that thread is empty; either
+    is cut to its ``cap`` most recent utterances.  TSV contexts are never
+    filtered: their utterances carry no addressee, so filtering would keep
+    only the responder's own lines.
     """
     loaded = load_channel(path, fmt)
     if not loaded:
@@ -218,14 +221,16 @@ def _load_pools(path: str, fmt: str, disentangle: bool, cap: int) -> list[list[M
     if not isinstance(loaded[0], CandidatePool):
         raise CorpusError("%s holds a bare utterance channel; need examples or candidate pools" % path)
 
-    def instance(context, candidate, label) -> MatchingInstance:
+    def context_of(context, candidate):
         if disentangle and fmt == "jsonl":
-            filtered = filter_channel(context, candidate.spoken_from)
-            if filtered.utterances:
-                return instance_from_filtered(filtered, candidate, label, max_utterances=cap)
-        return instance_from_example(context[-cap:], candidate, label)
+            return filter_channel(context, candidate.spoken_from).utterances or context
+        return context
 
-    return [[instance(pool.context, candidate, label) for candidate, label in pool.candidates] for pool in loaded]
+    return [
+        [instance_from_example(context_of(pool.context, candidate)[-cap:], candidate, label)
+         for candidate, label in pool.candidates]
+        for pool in loaded
+    ]
 
 
 def _flat(pools: list[list[MatchingInstance]]) -> list[MatchingInstance]:
@@ -293,15 +298,12 @@ def cmd_disentangle(args) -> tuple[list, list]:
                     u = replace(u, spoken_to=name, text=rest)
             enriched.append(u)
         loaded = enriched
-    filtered = cap_context(filter_channel(loaded, args.speaker), args.cap)
-    if not filtered.utterances:
+    kept = filter_channel(loaded, args.speaker).utterances[-args.cap:]
+    if not kept:
         print("warning: no utterances match speaker %r" % args.speaker, file=sys.stderr)
-    write_channel(
-        args.out,
-        [utt for utt, _ in filtered.utterances],
-        extra={utt.index: {"role": role.value} for utt, role in filtered.utterances},
-    )
-    print("kept %d of %d utterances for %s" % (len(filtered.utterances), len(loaded), args.speaker))
+    roles = {utt.index: {"role": speaker_role(utt.spoken_from, args.speaker)} for utt in kept}
+    write_channel(args.out, kept, extra=roles)
+    print("kept %d of %d utterances for %s" % (len(kept), len(loaded), args.speaker))
     return [args.channel], [args.out]
 
 

@@ -4,23 +4,23 @@ Layout is ``[CLS] <context with [EOU]/[EOT] markers> [SEP] <response> [SEP]``
 within a length budget.  Each context utterance ends with [EOU]; the last
 utterance of a turn (a maximal run of consecutive same-speaker utterances)
 additionally gets [EOT].  Speaker-role ids annotate every content token,
-with 0 reserved for [CLS], [SEP] and padding.  An encoding is three tracks
-of real positions only: the position of a token is its index, and padding
-and the attention mask exist only in the batch ``model.stack_inputs`` builds.
+with 0 reserved for [CLS], [SEP] and padding; ``speaker_role`` alone
+decides the other two.  An encoding is three tracks of real positions only:
+the position of a token is its index, and padding and the attention mask
+exist only in the batch ``model.stack_inputs`` builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .corpus import Utterance
-from .disentangle import FilteredContext, cap_context
 from .tokenizer import CLS, EOT, EOU, SEP, Vocabulary, tokenize
 
 RESPONSE_FLOOR = 8  # response tail-truncation never goes below this many tokens
 
-# Speaker-role ids: 0 is reserved for [CLS], [SEP] and padding; 1 and 2 are the two roles.
+# Speaker-role ids: 0 is reserved for [CLS], [SEP] and padding; 1 is the responder, 2 anyone else.
 NUM_SPEAKER_ROLES = 3
 
 
@@ -55,45 +55,20 @@ class MatchingInstance:
     label: int
 
 
-def assign_roles_by_appearance(speakers: Iterable[str]) -> dict[str, int]:
-    """Map speakers to role ids 1 and 2 by first appearance, alternating.
-
-    Used for corpora without explicit addressing: the first speaker gets
-    role 1, the second role 2, the third role 1 again, and so on.
-    """
-    roles: dict[str, int] = {}
-    for speaker in speakers:
-        if speaker not in roles:
-            roles[speaker] = len(roles) % (NUM_SPEAKER_ROLES - 1) + 1
-    return roles
+def speaker_role(speaker: str, responder: str) -> int:
+    """The speaker-role id of an utterance by ``speaker``: 1 for the responder, 2 for anyone else."""
+    return 1 if speaker == responder else 2
 
 
 def instance_from_example(context: Sequence[Utterance], response: Utterance, label: int) -> MatchingInstance:
-    """Role-annotate a context and a labelled response by speaker appearance order."""
-    roles = assign_roles_by_appearance([utt.spoken_from for utt in context] + [response.spoken_from])
+    """Role-annotate a context and a labelled response by ``speaker_role``; the response is role 1."""
+    responder = response.spoken_from
     return MatchingInstance(
-        context=tuple((utt, roles[utt.spoken_from]) for utt in context),
+        context=tuple((utt, speaker_role(utt.spoken_from, responder)) for utt in context),
         response=response,
-        response_role=roles[response.spoken_from],
+        response_role=speaker_role(responder, responder),
         label=label,
     )
-
-
-def instance_from_filtered(
-    filtered: FilteredContext,
-    response: Utterance,
-    label: int,
-    max_utterances: int | None = None,
-) -> MatchingInstance:
-    """Build an instance from a disentangled context.
-
-    Match roles carry over directly (spoken-from = 1, spoken-to = 2); the
-    response always takes role 1 since its speaker is the filtering target.
-    """
-    if max_utterances is not None:
-        filtered = cap_context(filtered, max_utterances)
-    context = tuple((utt, role.value) for utt, role in filtered.utterances)
-    return MatchingInstance(context=context, response=response, response_role=1, label=label)
 
 
 def mark_turns(

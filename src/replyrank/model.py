@@ -35,7 +35,7 @@ from .tokenizer import PAD
 
 LN_EPS = 1e-6
 INIT_STD = 0.02
-CHECKPOINT_FORMAT = 4
+CHECKPOINT_FORMAT = 5
 # GELU's tanh form (Hendrycks & Gimpel 2016), as in BERT's reference code:
 # the normal CDF at x is taken as 0.5 * (1 + tanh(GELU_C * (x + GELU_A * x**3))).
 GELU_C = math.sqrt(2.0 / math.pi)
@@ -628,7 +628,12 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, Params]:
         if not isinstance(archive, np.lib.npyio.NpzFile):
             raise ValueError("a single array, not an archive")
         with archive:
-            entries = {name: archive[name] for name in archive.files}
+            try:
+                entries = {name: archive[name] for name in archive.files}
+            except OSError as exc:
+                # a member's decompressor failed (say, a bzip2 method on a deflate stream); caught only
+                # here, because a missing file is an OSError too and keeps its own message
+                raise ValueError("unreadable member") from exc
     except (ValueError, EOFError, zipfile.BadZipFile, NotImplementedError, RuntimeError) as exc:
         # NotImplementedError: a zip method or version zipfile cannot read; RuntimeError: an encrypted member
         raise CheckpointError("checkpoint %s is not a valid .npz" % path) from exc

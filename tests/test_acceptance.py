@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from replyrank.disentangle import filter_channel
-from replyrank.encoding import encode_instance
+from replyrank.encoding import encode_instance, speaker_role
 from replyrank.evaluation import (
     DEFAULT_THRESHOLD_GRID,
     mean_average_precision,
@@ -69,7 +69,7 @@ def test_criterion_01_disentanglement_oracle():
         for _ in range(1000):
             channel, speakers = random_channel(rng, max_len=50, max_speakers=8, to_density=0.3)
             target = speakers[int(rng.integers(len(speakers)))]
-            got = [(u.index, role.value) for u, role in filter_channel(channel, target).utterances]
+            got = [(u.index, speaker_role(u.spoken_from, target)) for u in filter_channel(channel, target).utterances]
             expected = []
             for u in channel:
                 if u.spoken_from == target:

@@ -393,7 +393,9 @@ class TestTrainingCommands:
         assert code == 2
         assert err == "data error: %s has fewer than 2 label-1 examples to adapt on\n" % data
 
-    def test_missing_config_file_is_usage_error(self, workdir, capsys, monkeypatch):
+    @pytest.mark.parametrize("name, problem", [("mini.json", "not found"), ("configs", "is not a file")],
+                             ids=["missing", "directory"])
+    def test_missing_config_file_is_usage_error(self, workdir, capsys, monkeypatch, name, problem):
         # a bare name is looked up only relative to the working directory
         (workdir / "configs").mkdir()
         (workdir / "configs" / "mini.json").write_text((workdir / "config.json").read_text())
@@ -402,8 +404,8 @@ class TestTrainingCommands:
         out = workdir / "model.npz"
         capsys.readouterr()
         assert run("finetune", "--data", workdir / "train.tsv", "--vocab", vocab,
-                   "--config", "mini.json", "--checkpoint-out", out) == 1
-        assert capsys.readouterr().err == "usage error: config file mini.json not found\n"
+                   "--config", name, "--checkpoint-out", out) == 1
+        assert capsys.readouterr().err == "usage error: config file %s %s\n" % (name, problem)
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -732,13 +734,15 @@ class TestEvaluate:
         code = run("evaluate", "--pools", pools, "--checkpoint", old, "--vocab", vocab)
         return code, capsys.readouterr().err
 
-    def test_format_1_checkpoint_is_data_error(self, workdir, capsys):
-        assert self._evaluate_with_format(workdir, capsys, 1) == (2, "data error: unsupported checkpoint format 1\n")
-
-    def test_format_3_checkpoint_is_data_error(self, workdir, capsys):
-        # format-3 weights were trained under the erf form of GELU; format 4 uses the tanh form
-        assert CHECKPOINT_FORMAT == 4
-        assert self._evaluate_with_format(workdir, capsys, 3) == (2, "data error: unsupported checkpoint format 3\n")
+    @pytest.mark.parametrize("version", [
+        1,  # its config held the speaker-role count and dropout rate, both constants since format 2
+        3,  # its weights were trained under the erf form of GELU; format 4 uses the tanh form
+        4,  # its weights learned speaker ids numbered by first appearance on TSV lines and raw contexts
+    ])
+    def test_retired_checkpoint_format_is_data_error(self, workdir, capsys, version):
+        assert CHECKPOINT_FORMAT == 5
+        assert self._evaluate_with_format(workdir, capsys, version) == (
+            2, "data error: unsupported checkpoint format %d\n" % version)
 
     @staticmethod
     def _toy_pools(path, unanswered):
@@ -985,6 +989,33 @@ def test_bad_numeric_flag_is_usage_error_naming_it_before_loading(tmp_path, caps
     assert capsys.readouterr().err == "usage error: argument %s: must be an integer >= %d, got %r\n" % (
         flag, minimum, value)
     assert not (tmp_path / "vocab.txt").exists()
+
+
+class TestSpeakerRoles:
+    """Every loading path gives the responder's utterances and the response role 1, and everyone else role 2."""
+
+    def test_pool_loads_with_the_same_roles_every_way(self, tmp_path):
+        texts = ["hi bob", "hey ann", "how are you"]
+        jsonl, tsv = tmp_path / "pool.jsonl", tmp_path / "pool.tsv"
+        records = [{"index": i, "from": speaker, "to": "bob" if speaker == "ann" else "ann", "text": text}
+                   for i, (speaker, text) in enumerate(zip(["ann", "bob", "ann"], texts))]
+        records[-1]["candidates"] = [{"text": "fine thanks", "from": "bob", "label": 1}]
+        jsonl.write_text("".join(json.dumps(record) + "\n" for record in records))
+        tsv.write_text("1\t" + "\t".join(texts) + "\tfine thanks\n")
+        for path, fmt, disentangle in [(jsonl, "jsonl", True), (jsonl, "jsonl", False), (tsv, "tsv", True)]:
+            [[inst]] = cli._load_pools(str(path), fmt, disentangle, DEFAULT_CONTEXT_CAP)
+            assert inst.response_role == 1, (fmt, disentangle)
+            assert [role for _, role in inst.context] == [2, 1, 2], (fmt, disentangle)
+
+    def test_third_speaker_of_a_raw_context_is_role_2(self, tmp_path):
+        data = tmp_path / "pool.jsonl"
+        records = [{"index": i, "from": speaker, "to": None, "text": "line %d" % i}
+                   for i, speaker in enumerate(["ann", "bob", "cat"])]
+        records[-1]["candidates"] = [{"text": "me too", "from": "ann", "label": 1}]
+        data.write_text("".join(json.dumps(record) + "\n" for record in records))
+        [[inst]] = cli._load_pools(str(data), "jsonl", False, DEFAULT_CONTEXT_CAP)
+        assert [role for _, role in inst.context] == [1, 2, 2]
+        assert inst.response_role == 1
 
 
 class TestTsvLineIsOneCandidatePool:

@@ -1,12 +1,7 @@
 import pytest
 
-from replyrank.disentangle import (
-    DEFAULT_CONTEXT_CAP,
-    FilteredContext,
-    MatchRole,
-    cap_context,
-    filter_channel,
-)
+from replyrank.disentangle import DEFAULT_CONTEXT_CAP, filter_channel
+from replyrank.encoding import speaker_role
 from helpers import random_channel, utt
 
 
@@ -31,18 +26,17 @@ class TestFilterChannel:
             utt(2, "C", spoken_to="D"),
         ]
         filtered = filter_channel(channel, "A")
-        assert [u.index for u, _ in filtered.utterances] == [0, 1]
-        assert [r for _, r in filtered.utterances] == [MatchRole.FROM_MATCH, MatchRole.TO_MATCH]
+        assert [(u.index, speaker_role(u.spoken_from, "A")) for u in filtered.utterances] == [(0, 1), (1, 2)]
 
     def test_no_matches(self):
         channel = [utt(0, "B"), utt(1, "C", spoken_to="B")]
         filtered = filter_channel(channel, "A")
         assert filtered.utterances == ()
 
-    def test_self_address_prefers_from_match(self):
+    def test_self_address_is_the_responder_role(self):
         channel = [utt(0, "A", spoken_to="A")]
         filtered = filter_channel(channel, "A")
-        assert [r for _, r in filtered.utterances] == [MatchRole.FROM_MATCH]
+        assert [speaker_role(u.spoken_from, "A") for u in filtered.utterances] == [1]
 
     def test_none_spoken_to_matches_nothing(self):
         channel = [utt(0, "B", spoken_to=None)]
@@ -57,7 +51,7 @@ class TestFilterChannel:
             channel, speakers = random_channel(rng)
             target = speakers[int(rng.integers(len(speakers)))]
             filtered = filter_channel(channel, target)
-            got = [(u.index, role.value) for u, role in filtered.utterances]
+            got = [(u.index, speaker_role(u.spoken_from, target)) for u in filtered.utterances]
             assert got == brute_force_selection(channel, target)
 
     def test_idempotent(self, rng):
@@ -65,7 +59,7 @@ class TestFilterChannel:
             channel, speakers = random_channel(rng)
             target = speakers[0]
             once = filter_channel(channel, target)
-            twice = filter_channel([u for u, _ in once.utterances], target)
+            twice = filter_channel(once.utterances, target)
             assert twice.utterances == once.utterances
 
     def test_removing_unselected_changes_nothing(self, rng):
@@ -73,7 +67,7 @@ class TestFilterChannel:
             channel, speakers = random_channel(rng, max_len=30)
             target = speakers[0]
             baseline = filter_channel(channel, target)
-            kept = {u.index for u, _ in baseline.utterances}
+            kept = {u.index for u in baseline.utterances}
             rejected = [u for u in channel if u.index not in kept]
             if not rejected:
                 continue
@@ -82,35 +76,5 @@ class TestFilterChannel:
             assert filter_channel(thinner, target).utterances == baseline.utterances
 
 
-class TestCapContext:
-    def test_keeps_most_recent(self):
-        filtered = FilteredContext(
-            utterances=tuple((utt(i, "A"), MatchRole.FROM_MATCH) for i in range(30)),
-            target_speaker="A",
-        )
-        capped = cap_context(filtered, 25)
-        assert len(capped) == 25
-        assert [u.index for u, _ in capped.utterances] == list(range(5, 30))
-
-    def test_under_cap_unchanged(self):
-        filtered = FilteredContext(
-            utterances=tuple((utt(i, "A"), MatchRole.FROM_MATCH) for i in range(3)),
-            target_speaker="A",
-        )
-        assert cap_context(filtered, 25) is filtered
-
-    def test_cap_one(self):
-        filtered = FilteredContext(
-            utterances=tuple((utt(i, "A"), MatchRole.FROM_MATCH) for i in range(4)),
-            target_speaker="A",
-        )
-        capped = cap_context(filtered, 1)
-        assert [u.index for u, _ in capped.utterances] == [3]
-
-    def test_cap_below_one_rejected(self):
-        filtered = FilteredContext(utterances=(), target_speaker="A")
-        with pytest.raises(ValueError):
-            cap_context(filtered, 0)
-
-    def test_default_cap(self):
-        assert DEFAULT_CONTEXT_CAP == 25
+def test_default_context_cap():
+    assert DEFAULT_CONTEXT_CAP == 25

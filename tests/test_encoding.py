@@ -3,12 +3,11 @@ from dataclasses import fields
 import pytest
 
 from replyrank.encoding import (
-    assign_roles_by_appearance,
     build_input,
     format_tracks,
     instance_from_example,
-    instance_from_filtered,
     mark_turns,
+    speaker_role,
     trim_to_budget,
 )
 from replyrank.corpus import parse_tsv_example
@@ -162,26 +161,26 @@ class TestBuildInput:
 
 
 class TestRoleAssignment:
-    def test_appearance_order(self):
-        roles = assign_roles_by_appearance(["bob", "amy", "bob", "amy"])
-        assert roles == {"bob": 1, "amy": 2}
+    def test_responder_is_role_1_everyone_else_role_2(self):
+        assert speaker_role("bob", "bob") == 1
+        assert [speaker_role(s, "bob") for s in ("amy", "cat", "")] == [2, 2, 2]
 
-    def test_cycles_when_table_exhausted(self):
-        roles = assign_roles_by_appearance(["a", "b", "c"])
-        assert roles == {"a": 1, "b": 2, "c": 1}
-
-    def test_instance_from_example_alternation(self):
-        pool = parse_tsv_example("1\thello\thi there\tgood, you?")
+    @pytest.mark.parametrize("line, roles", [
+        ("1\thello\thi there\tgood, you?", [1, 2]),
+        ("1\thello\thi there\tgood, you?\tfine", [2, 1, 2]),
+    ], ids=["even-context", "odd-context"])
+    def test_instance_from_example_response_is_role_1(self, line, roles):
+        pool = parse_tsv_example(line)
         [(response, label)] = pool.candidates
         inst = instance_from_example(pool.context, response, label)
-        assert [role for _, role in inst.context] == [1, 2]
+        assert [role for _, role in inst.context] == roles
         assert inst.response_role == 1
         assert inst.label == 1
 
-    def test_instance_from_filtered_roles(self):
+    def test_filtered_thread_roles_follow_match_kind(self):
         channel = [utt(0, "A"), utt(1, "B", spoken_to="A"), utt(2, "C")]
         filtered = filter_channel(channel, "A")
-        inst = instance_from_filtered(filtered, utt(3, "A", text="w01"), label=1)
+        inst = instance_from_example(filtered.utterances, utt(3, "A", text="w01"), label=1)
         assert [role for _, role in inst.context] == [1, 2]
         assert inst.response_role == 1
 

@@ -233,8 +233,8 @@ class TestNamedDefects:
         assert run("disentangle", "--channel", channel, "--speaker", "a", "--out", out)[0] == 0
         assert json.loads(out.read_text(encoding="utf-8"))["text"] == "smile \U0001f600"
 
-    @pytest.mark.parametrize("offset, value", [(10, 99), (8, 1), (6, 99)],
-                             ids=["compression-method", "encrypted-flag", "zip-version"])
+    @pytest.mark.parametrize("offset, value", [(10, 99), (8, 1), (6, 99), (10, 12)],
+                             ids=["compression-method", "encrypted-flag", "zip-version", "bzip2-method"])
     def test_unreadable_checkpoint_archive_is_data_error(self, files, tmp_path, offset, value):
         content = bytearray(files["model.npz"].read_bytes())
         content[content.index(b"PK\x01\x02") + offset] = value  # in the first central-directory entry
@@ -242,5 +242,11 @@ class TestNamedDefects:
         ckpt.write_bytes(bytes(content))
         out = tmp_path / "report.txt"
         _rejected(2, "data error: checkpoint %s is not a valid .npz" % ckpt,
+                  ["evaluate", "--pools", files["pools.jsonl"], "--checkpoint", ckpt, "--vocab", files["vocab.txt"],
+                   "--out", out], out)
+
+    def test_missing_checkpoint_is_data_error_naming_it(self, files, tmp_path):
+        ckpt, out = tmp_path / "missing.npz", tmp_path / "report.txt"
+        _rejected(2, "data error: [Errno 2] No such file or directory: %r" % str(ckpt),
                   ["evaluate", "--pools", files["pools.jsonl"], "--checkpoint", ckpt, "--vocab", files["vocab.txt"],
                    "--out", out], out)
