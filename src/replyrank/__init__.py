@@ -9,15 +9,7 @@ ranking/evaluation harness.
 from .corpus import CandidatePool, CorpusError, Utterance
 from .disentangle import FilteredContext, filter_channel
 from .encoding import EncodedInput, MatchingInstance, build_input, encode_instance, mark_turns
-from .evaluation import (
-    MetricReport,
-    RankedPool,
-    mean_average_precision,
-    mean_reciprocal_rank,
-    precision_at_one,
-    recall_at_k,
-    select_threshold,
-)
+from .evaluation import RankedPool, compute_report, pool_metrics, select_threshold
 from .model import ModelConfig, backward, forward_batch, init_params, score_batch, stack_inputs
 from .tokenizer import Vocabulary, build_vocab, tokenize
 from .training import TrainConfig, plan_masking, train
@@ -30,7 +22,6 @@ __all__ = [
     "EncodedInput",
     "FilteredContext",
     "MatchingInstance",
-    "MetricReport",
     "ModelConfig",
     "RankedPool",
     "TrainConfig",
@@ -39,16 +30,14 @@ __all__ = [
     "backward",
     "build_input",
     "build_vocab",
+    "compute_report",
     "encode_instance",
     "filter_channel",
     "forward_batch",
     "init_params",
     "mark_turns",
-    "mean_average_precision",
-    "mean_reciprocal_rank",
     "plan_masking",
-    "precision_at_one",
-    "recall_at_k",
+    "pool_metrics",
     "score_batch",
     "select_threshold",
     "stack_inputs",

@@ -233,6 +233,15 @@ def _load_pools(path: str, fmt: str, disentangle: bool, cap: int) -> list[list[M
     ]
 
 
+def _answered(pools: list[list[MatchingInstance]]) -> list[list[MatchingInstance]]:
+    """The pools that hold a positive candidate; when only some do, one warning line counts the others."""
+    answered = [pool for pool in pools if any(inst.label == 1 for inst in pool)]
+    if answered and len(answered) < len(pools):
+        print("warning: %d of %d pools have no positive candidate; every metric leaves them out"
+              % (len(pools) - len(answered), len(pools)), file=sys.stderr)
+    return answered
+
+
 def _flat(pools: list[list[MatchingInstance]]) -> list[MatchingInstance]:
     return [inst for pool in pools for inst in pool]
 
@@ -378,7 +387,8 @@ def cmd_train(args) -> tuple[list, list]:
             sizes = sorted({len(pool) for pool in validation})
             if len(sizes) > 1:
                 raise CorpusError("validation pools in %s have mixed candidate counts %s" % (args.validation, sizes))
-            if not any(inst.label == 1 for pool in validation for inst in pool):
+            validation = _answered(validation)
+            if not validation:
                 raise CorpusError("validation pools in %s hold no positive candidate" % args.validation)
         else:
             validation = [
@@ -413,7 +423,7 @@ def _parse_recall_cutoffs(arg: str | None, pools: list[list[MatchingInstance]]) 
     def scorable(n: int) -> bool:
         return any(inst.label == 1 for pool in pools for inst in pool[:n])
 
-    if arg:
+    if arg is not None:
         # the metrics read only the pools with a positive
         smallest = min(len(pool) for pool in pools if any(inst.label == 1 for inst in pool))
         cutoffs = []
@@ -447,19 +457,14 @@ def cmd_evaluate(args) -> tuple[list, list]:
     vocab = Vocabulary.load(args.vocab)
     model_config, params = _load_model(args.checkpoint, vocab)
     pools = _load_pools(args.pools, "jsonl", not args.no_disentangle, args.cap)
-    unanswered = sum(not any(inst.label == 1 for inst in pool) for pool in pools)
-    if unanswered == len(pools):
+    if not _answered(pools):
         raise CorpusError("no pool in %s has a positive candidate" % args.pools)
-    if unanswered:
-        print("warning: %d of %d pools have no positive candidate; every metric leaves them out"
-              % (unanswered, len(pools)), file=sys.stderr)
     cutoffs = _parse_recall_cutoffs(args.recall, pools)
     ranked = rank_pools(pools, params, model_config, vocab)
-    threshold = None
+    # the metrics are those of the answered pools; the no-answer threshold is chosen on every pool
+    report = compute_report([pool for pool in ranked if pool.has_answer], cutoffs)
     if args.threshold_sweep:
-        threshold = select_threshold(ranked, DEFAULT_THRESHOLD_GRID)
-    # the no-answer threshold is chosen on every pool; the metrics are those of the answered ones
-    report = compute_report([pool for pool in ranked if pool.has_answer], cutoffs, threshold)
+        report["threshold"] = select_threshold(ranked, DEFAULT_THRESHOLD_GRID)
     text = format_report(report)
     print(text)
     if args.out:

@@ -1,15 +1,17 @@
 """Candidate ranking and retrieval metrics: R_n@k, MAP, MRR, P@1.
 
-Also selects a no-answer threshold for pools that may lack a correct
-response: a threshold is swept over a fixed grid, scoring a pool whose top
-score falls below it as an abstention (a correct abstention counts as a
-rank-1 hit).  The threshold is reported; it changes no metric.
+``pool_metrics`` alone reads a ranked pool's metrics: it returns an answered
+pool's row, one value per reported metric.  A report is the mean of each
+column, and the no-answer threshold sweep and finetune's validation
+criterion read the row's top-1 recall.  The sweep scores a pool whose top
+score falls below the threshold as an abstention (a correct abstention
+counts as a rank-1 hit); the threshold is reported and changes no metric.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 DEFAULT_THRESHOLD_GRID = tuple(round(0.60 + 0.05 * i, 2) for i in range(8))
@@ -29,15 +31,6 @@ class RankedPool:
         return self.scores[self.ranking[0]]
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    recall_at: dict[tuple[int, int], float] = field(default_factory=dict)
-    map_score: float = 0.0
-    mrr: float = 0.0
-    p_at_1: float = 0.0
-    threshold_used: float | None = None
-
-
 def rank_scores(scores: Sequence[float], labels: Sequence[int]) -> RankedPool:
     """Rank candidates by descending score; ties go to the lower index."""
     if len(scores) != len(labels):
@@ -53,83 +46,43 @@ def rank_scores(scores: Sequence[float], labels: Sequence[int]) -> RankedPool:
     )
 
 
-def _usable_pools(pools: Sequence[RankedPool], metric: str) -> list[RankedPool]:
-    usable = [p for p in pools if p.has_answer]
-    dropped = len(pools) - len(usable)
-    if dropped:
-        warnings.warn("%s: excluded %d pool(s) without positives" % (metric, dropped))
-    if not usable:
-        raise ValueError("%s: no pools with positives to evaluate" % metric)
-    return usable
+def recall_key(n: int, k: int) -> str:
+    return "R@%d,%d" % (n, k)
 
 
-def recall_at_k(pools: Sequence[RankedPool], n: int, k: int) -> float:
-    """Mean fraction of a pool's positives found in the top k of n candidates.
+def pool_metrics(pool: RankedPool, recall_cutoffs: Sequence[tuple[int, int]]) -> dict[str, float]:
+    """An answered pool's value of every reported metric, keyed as the report prints it.
 
-    Pools larger than n are restricted to their first n candidates (the
-    convention behind R_2@1 on 10-candidate sets, where candidate 0 is the
-    reference response).
+    ``R@n,k`` is the share of the positives among the first n candidates
+    that rank in the top k of those n (the convention behind R_2@1 on
+    10-candidate sets, where candidate 0 is the reference response).  It is
+    left out when the first n candidates hold no positive.  ``MAP`` and
+    ``MRR`` hold the pool's average precision and reciprocal rank, and
+    ``P@1`` whether its top candidate is a positive.
     """
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n, got k=%d n=%d" % (k, n))
-    values = []
-    dropped = 0
-    for pool in pools:
+    if not pool.has_answer:
+        raise ValueError("pool has no positive candidate")
+    row = {}
+    for n, k in recall_cutoffs:
+        if not 1 <= k <= n:
+            raise ValueError("need 1 <= k <= n, got k=%d n=%d" % (k, n))
         if len(pool.scores) < n:
             raise ValueError("pool has %d candidates, need at least %d" % (len(pool.scores), n))
-        positives = sum(pool.labels[i] for i in range(n))
-        if positives == 0:
-            dropped += 1
-            continue
-        restricted = [i for i in pool.ranking if i < n]
-        hits = sum(pool.labels[i] for i in restricted[:k])
-        values.append(hits / positives)
-    if dropped:
-        warnings.warn("recall_at_k: excluded %d pool(s) without positives" % dropped)
-    if not values:
-        raise ValueError("recall_at_k: no pools with positives to evaluate")
-    return sum(values) / len(values)
+        positives = sum(pool.labels[:n])
+        if positives:
+            restricted = [i for i in pool.ranking if i < n]
+            row[recall_key(n, k)] = sum(pool.labels[i] for i in restricted[:k]) / positives
+    hit_ranks = [rank for rank, i in enumerate(pool.ranking, start=1) if pool.labels[i] == 1]
+    row["MAP"] = sum(seen / rank for seen, rank in enumerate(hit_ranks, start=1)) / len(hit_ranks)
+    row["MRR"] = 1.0 / hit_ranks[0]
+    row["P@1"] = pool.labels[pool.ranking[0]]
+    return row
 
 
-def mean_average_precision(pools: Sequence[RankedPool]) -> float:
-    values = []
-    for pool in _usable_pools(pools, "mean_average_precision"):
-        seen = 0
-        precisions = []
-        for rank, idx in enumerate(pool.ranking, start=1):
-            if pool.labels[idx] == 1:
-                seen += 1
-                precisions.append(seen / rank)
-        values.append(sum(precisions) / len(precisions))
-    return sum(values) / len(values)
-
-
-def mean_reciprocal_rank(pools: Sequence[RankedPool]) -> float:
-    values = []
-    for pool in _usable_pools(pools, "mean_reciprocal_rank"):
-        for rank, idx in enumerate(pool.ranking, start=1):
-            if pool.labels[idx] == 1:
-                values.append(1.0 / rank)
-                break
-    return sum(values) / len(values)
-
-
-def precision_at_one(pools: Sequence[RankedPool]) -> float:
-    usable = _usable_pools(pools, "precision_at_one")
-    return sum(pool.labels[pool.ranking[0]] for pool in usable) / len(usable)
-
-
-def _abstention_objective(pools: Sequence[RankedPool], tau: float) -> float:
-    """Top-1 recall with abstention: a correct no-answer call scores 1."""
-    total = 0.0
-    for pool in pools:
-        abstain = pool.top_score < tau
-        if not pool.has_answer:
-            total += 1.0 if abstain else 0.0
-        elif not abstain:
-            positives = sum(pool.labels)
-            total += pool.labels[pool.ranking[0]] / positives
-    return total / len(pools)
+def top1_recall(pool: RankedPool) -> float:
+    """An answered pool's R@size,1: the share of its positives that its top candidate holds."""
+    size = len(pool.scores)
+    return pool_metrics(pool, [(size, 1)])[recall_key(size, 1)]
 
 
 def select_threshold(
@@ -138,44 +91,46 @@ def select_threshold(
 ) -> float:
     """Pick the grid threshold maximizing abstention-aware top-1 recall.
 
-    Ties resolve to the smallest threshold.
+    An answered pool scores its top-1 recall unless it abstains (its top
+    score is below the threshold); an answerless pool scores 1 when it
+    abstains.  Ties resolve to the smallest threshold.
     """
     if not grid:
         raise ValueError("threshold grid is empty")
     if not validation_pools:
         raise ValueError("no validation pools")
-    best_tau = None
-    best_value = None
-    for tau in sorted(grid):
-        value = _abstention_objective(validation_pools, tau)
-        if best_value is None or value > best_value:
-            best_tau = tau
-            best_value = value
-    return best_tau
+    recalls = [top1_recall(pool) if pool.has_answer else None for pool in validation_pools]
+
+    def abstention_aware_recall(tau: float) -> float:
+        values = [float(pool.top_score < tau) if recall is None else recall * (pool.top_score >= tau)
+                  for pool, recall in zip(validation_pools, recalls)]
+        return sum(values) / len(values)
+
+    return max(sorted(grid), key=abstention_aware_recall)  # max keeps the first of equal values
 
 
-def compute_report(
-    pools: Sequence[RankedPool],
-    recall_cutoffs: Sequence[tuple[int, int]],
-    threshold_used: float | None = None,
-) -> MetricReport:
-    return MetricReport(
-        recall_at={(n, k): recall_at_k(pools, n, k) for n, k in recall_cutoffs},
-        map_score=mean_average_precision(pools),
-        mrr=mean_reciprocal_rank(pools),
-        p_at_1=precision_at_one(pools),
-        threshold_used=threshold_used,
-    )
+def compute_report(pools: Sequence[RankedPool], recall_cutoffs: Sequence[tuple[int, int]]) -> dict[str, float]:
+    """The mean of each metric column over the answered ``pools``, in report order.
+
+    An ``R@n,k`` column leaves out, with one warning, the pools whose first
+    n candidates hold no positive.
+    """
+    cutoffs = sorted(set(recall_cutoffs))
+    rows = [pool_metrics(pool, cutoffs) for pool in pools]
+    for n, k in cutoffs:
+        dropped = sum(recall_key(n, k) not in row for row in rows)
+        if dropped:
+            warnings.warn("%s: excluded %d pool(s) without a positive among the first %d candidates"
+                          % (recall_key(n, k), dropped, n))
+    report = {}
+    for key in [recall_key(n, k) for n, k in cutoffs] + ["MAP", "MRR", "P@1"]:
+        column = [row[key] for row in rows if key in row]
+        if not column:
+            raise ValueError("%s: no pool to evaluate" % key)
+        report[key] = sum(column) / len(column)
+    return report
 
 
-def format_report(report: MetricReport) -> str:
-    """Machine-readable key=value lines."""
-    lines = []
-    for (n, k) in sorted(report.recall_at):
-        lines.append("R@%d,%d=%.6f" % (n, k, report.recall_at[(n, k)]))
-    lines.append("MAP=%.6f" % report.map_score)
-    lines.append("MRR=%.6f" % report.mrr)
-    lines.append("P@1=%.6f" % report.p_at_1)
-    if report.threshold_used is not None:
-        lines.append("threshold=%.2f" % report.threshold_used)
-    return "\n".join(lines)
+def format_report(report: dict[str, float]) -> str:
+    """Machine-readable key=value lines; the no-answer threshold keeps two decimals."""
+    return "\n".join(("%s=%.2f" if key == "threshold" else "%s=%.6f") % (key, value) for key, value in report.items())

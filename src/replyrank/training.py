@@ -25,7 +25,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .encoding import EncodedInput, MatchingInstance, build_input, encode_instance
-from .evaluation import recall_at_k
+from .evaluation import top1_recall
 from .model import ModelConfig, _is_int, backward, forward_batch, sigmoid, stack_inputs, validate_params
 from .tokenizer import MASK, NUM_SPECIALS, UNK, Vocabulary
 from .corpus import Utterance
@@ -352,14 +352,13 @@ def _objective(block_loss, encoded: list[EncodedInput], targets, params, model_c
 
 
 def _validation_recall_at_1(pools: Sequence[Sequence[MatchingInstance]], params, model_config, vocab) -> float:
+    """Mean top-1 recall of the answered ``pools``, whatever their sizes."""
     # rank_pools lives in cli, whose module-level names perfbench traces;
     # cli imports this module, so the import is deferred to call time.
     from .cli import rank_pools
 
-    sizes = {len(pool) for pool in pools}
-    if len(sizes) != 1:
-        raise ValueError("validation pools must all have the same candidate count")
-    return recall_at_k(rank_pools(pools, params, model_config, vocab), n=sizes.pop(), k=1)
+    recalls = [top1_recall(pool) for pool in rank_pools(pools, params, model_config, vocab)]
+    return sum(recalls) / len(recalls)
 
 
 def train(
@@ -377,9 +376,10 @@ def train(
     instances are used (their responses double as the negative-sampling
     pool) and ``validation``, when given, is a list of instances scored with
     a fixed corruption draw.  For ``finetune`` all instances are used and
-    ``validation`` is a list of candidate pools (lists of instances); the
-    returned params are the epoch checkpoint with the best validation
-    metric (lowest combined loss, respectively highest top-1 recall).
+    ``validation`` is a list of candidate pools (lists of instances), each
+    holding a positive; the returned params are the epoch checkpoint with
+    the best validation metric (lowest combined loss, respectively highest
+    top-1 recall).
     """
     if phase not in ("adapt", "finetune"):
         raise ValueError("unknown phase %r" % phase)

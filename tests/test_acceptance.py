@@ -13,15 +13,7 @@ import numpy as np
 
 from replyrank.disentangle import filter_channel
 from replyrank.encoding import encode_instance, speaker_role
-from replyrank.evaluation import (
-    DEFAULT_THRESHOLD_GRID,
-    mean_average_precision,
-    mean_reciprocal_rank,
-    precision_at_one,
-    rank_scores,
-    recall_at_k,
-    select_threshold,
-)
+from replyrank.evaluation import DEFAULT_THRESHOLD_GRID, compute_report, rank_scores, select_threshold
 from replyrank.model import (
     ModelConfig,
     forward_batch,
@@ -94,14 +86,15 @@ def test_criterion_02_metric_oracle():
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for n, k in [(10, 1), (10, 2), (10, 5), (2, 1)]:
-                oracle_values = [oracle_recall(s, l, n, k) for s, l in data]
-                kept = [v for v in oracle_values if v is not None]
-                assert abs(recall_at_k(pools, n, k) - sum(kept) / len(kept)) < 1e-9
-        assert abs(mean_average_precision(pools) - sum(oracle_ap(s, l) for s, l in data) / len(data)) < 1e-9
-        assert abs(mean_reciprocal_rank(pools) - sum(oracle_rr(s, l) for s, l in data) / len(data)) < 1e-9
+            report = compute_report(pools, [(10, 1), (10, 2), (10, 5), (2, 1)])
+        for n, k in [(10, 1), (10, 2), (10, 5), (2, 1)]:
+            oracle_values = [oracle_recall(s, l, n, k) for s, l in data]
+            kept = [v for v in oracle_values if v is not None]
+            assert abs(report["R@%d,%d" % (n, k)] - sum(kept) / len(kept)) < 1e-9
+        assert abs(report["MAP"] - sum(oracle_ap(s, l) for s, l in data) / len(data)) < 1e-9
+        assert abs(report["MRR"] - sum(oracle_rr(s, l) for s, l in data) / len(data)) < 1e-9
         oracle_p1 = sum(l[oracle_order(s)[0]] for s, l in data) / len(data)
-        assert abs(precision_at_one(pools) - oracle_p1) < 1e-9
+        assert abs(report["P@1"] - oracle_p1) < 1e-9
 
         # multi-positive bound: with 3 positives a pool contributes at most
         # 1/3 at k=1, so even perfect top-1 ranking gives exactly 1/3
@@ -109,7 +102,7 @@ def test_criterion_02_metric_oracle():
         for _ in range(8):
             scores = [0.99, 0.98, 0.97] + rng.random(7).tolist()
             bound_pools.append(rank_scores(scores, [1, 1, 1] + [0] * 7))
-        assert recall_at_k(bound_pools, 10, 1) == 1 / 3
+        assert compute_report(bound_pools, [(10, 1)])["R@10,1"] == 1 / 3
 
 
 def test_criterion_03_masking_statistics():
@@ -232,7 +225,7 @@ def test_criterion_08_two_phase_effect_direction():
                 batch = stack_inputs([encode_instance(i, vocab, max_len) for i in pool])
                 scores = score_batch(batch, params, config)
                 ranked.append(rank_scores(scores.tolist(), [i.label for i in pool]))
-            return recall_at_k(ranked, n=10, k=1)
+            return compute_report(ranked, [(10, 1)])["R@10,1"]
 
         wins = 0
         outcomes = []

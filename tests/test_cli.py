@@ -279,6 +279,34 @@ class TestTrainingCommands:
         )
         assert not out.exists()  # rejected before any training step
 
+    def test_answerless_validation_pools_are_dropped_at_load_with_one_warning(self, workdir, capsys):
+        vocab = self._vocab(workdir)
+        pools, records = [], []
+        for line in (DATA_DIR / "valid_pools.jsonl").read_text().splitlines():
+            records.append(json.loads(line))
+            if "candidates" in records[-1]:
+                pools.append(records)
+                records = []
+        unanswered = {0, 3, 5}
+        for number in unanswered:
+            pools[number][-1]["candidates"] = [{**c, "label": 0} for c in pools[number][-1]["candidates"]]
+        files = {"all": pools, "answered": [pool for i, pool in enumerate(pools) if i not in unanswered]}
+        runs = {}
+        for name, kept in files.items():
+            validation, out, log = (workdir / (name + suffix) for suffix in (".jsonl", ".npz", ".csv"))
+            validation.write_text("".join(json.dumps(record) + "\n" for pool in kept for record in pool))
+            capsys.readouterr()
+            assert run("finetune", "--data", workdir / "train.tsv", "--vocab", vocab,
+                       "--config", workdir / "config.json", "--checkpoint-out", out, "--loss-log", log,
+                       "--validation", validation, "--seed", "0") == 0
+            runs[name] = capsys.readouterr(), out.read_bytes(), log.read_bytes()
+        assert runs["all"][0].err == (
+            "warning: 3 of %d pools have no positive candidate; every metric leaves them out\n" % len(pools)
+        )
+        assert runs["answered"][0].err == ""
+        assert runs["all"][0].out == runs["answered"][0].out  # the same selected epoch and validation metric
+        assert runs["all"][1:] == runs["answered"][1:]
+
     def _rejected_before_training(self, workdir, capsys, phase, data, *flags):
         """Run ``phase`` on ``data``; return its exit code and stderr, checking no checkpoint was written."""
         vocab = self._vocab(workdir)
@@ -578,7 +606,7 @@ class TestEvaluate:
 
         from replyrank.cli import _load_pools
         from replyrank.encoding import encode_instance
-        from replyrank.evaluation import mean_reciprocal_rank, rank_scores, recall_at_k
+        from replyrank.evaluation import compute_report, rank_scores
         from replyrank.model import score_batch, stack_inputs
         from replyrank.tokenizer import Vocabulary
 
@@ -589,8 +617,39 @@ class TestEvaluate:
             batch = stack_inputs([encode_instance(i, vv, config.max_seq_len) for i in pool])
             ranked.append(rank_scores(score_batch(batch, params, config).tolist(),
                                       [i.label for i in pool]))
-        assert float(values["R@10,1"]) == pytest.approx(recall_at_k(ranked, 10, 1), abs=1e-6)
-        assert float(values["MRR"]) == pytest.approx(mean_reciprocal_rank(ranked), abs=1e-6)
+        direct = compute_report(ranked, [(10, 1)])
+        assert float(values["R@10,1"]) == pytest.approx(direct["R@10,1"], abs=1e-6)
+        assert float(values["MRR"]) == pytest.approx(direct["MRR"], abs=1e-6)
+
+    def test_finetune_validation_metric_is_the_evaluate_r10_1_of_its_checkpoint(self, workdir, capsys):
+        vocab = workdir / "vocab.txt"
+        assert run("build-vocab", "--input", workdir / "train.tsv", "--out", vocab) == 0
+        ckpt = workdir / "model.npz"
+        validation = DATA_DIR / "valid_pools.jsonl"
+        capsys.readouterr()
+        assert run("finetune", "--data", workdir / "train.tsv", "--vocab", vocab, "--config", workdir / "config.json",
+                   "--checkpoint-out", ckpt, "--validation", validation, "--cap", "3", "--seed", "0") == 0
+        selected = capsys.readouterr().out.splitlines()[-1]
+        assert selected.startswith("selected epoch ")
+        assert run("evaluate", "--pools", validation, "--checkpoint", ckpt, "--vocab", vocab, "--cap", "3") == 0
+        values = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        assert selected.endswith("(validation metric %s)" % values["R@10,1"])
+
+    def test_benchmark_tracer_finds_every_name_it_wraps(self, workdir, monkeypatch):
+        monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+        import tracing
+
+        pools = workdir / "pools.jsonl"
+        vocab, ckpt = self._untrained(workdir, pools)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            code = run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab)
+        finally:
+            tracer.remove()
+        assert code == 0
+        assert tracer.missing == []
+        assert {"evaluation.compute_report", "evaluation.rank_scores"} <= {span[0] for span in tracer.spans}
 
     def test_threshold_sweep_reports_grid_value(self, workdir):
         vocab, ckpt = self._trained(workdir)
@@ -802,7 +861,9 @@ class TestEvaluate:
         vocab, ckpt = self._untrained(workdir, pools)
         capsys.readouterr()
         assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab) == 0
-        assert capsys.readouterr().err == "warning: recall_at_k: excluded %d pool(s) without positives\n" % dropped
+        assert capsys.readouterr().err == (
+            "warning: R@2,1: excluded %d pool(s) without a positive among the first 2 candidates\n" % dropped
+        )
 
     def test_default_r2_1_that_no_pool_can_score_is_left_out_with_one_warning(self, workdir, capsys):
         pools = workdir / "third.jsonl"
@@ -829,6 +890,8 @@ class TestEvaluate:
         # a cutoff that is no R_n@k at all stays a usage error
         assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab, "--recall", "2:3") == 1
         assert capsys.readouterr().err == "usage error: bad --recall entry '2:3', need 1 <= k <= n\n"
+        assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab, "--recall", "") == 1
+        assert capsys.readouterr().err == "usage error: bad --recall entry '', expected n:k\n"
         assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab, "--recall", "3:1") == 0
 
     def test_explicit_cutoff_above_a_pool_size_is_data_error_before_scoring(self, workdir, capsys, monkeypatch):
