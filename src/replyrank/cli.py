@@ -99,12 +99,18 @@ def _keep_freed_memory() -> None:
 
 
 def _resources(clock: float, faults: int) -> dict:
-    """Wall time and minor faults since ``clock`` and ``faults`` were read, and the process's lifetime peak RSS."""
+    """Wall time and minor faults since ``clock`` and ``faults`` were read, and lifetime peak RSS.
+
+    ``peak_rss_mb`` is the process's own; ``children_peak_rss_mb`` is that of
+    its largest child waited for, such as a scoring worker of ``score_batch``.
+    """
     usage = resource.getrusage(resource.RUSAGE_SELF)
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
     rss_unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is bytes on macOS, KiB elsewhere
     return {
         "wall_s": time.monotonic() - clock,
         "peak_rss_mb": usage.ru_maxrss * rss_unit / 2**20,
+        "children_peak_rss_mb": children.ru_maxrss * rss_unit / 2**20,
         "minor_faults": usage.ru_minflt - faults,
     }
 
@@ -251,18 +257,19 @@ def rank_pools(
 ) -> list[RankedPool]:
     """Every pool's candidates scored with their matching probabilities and ranked, in pool order.
 
-    All candidates are encoded, sorted by real length and scored in
-    consecutive chunks of at most as many rows as the largest pool, so a
-    batch holds candidates of similar length and is never larger than one
-    pool.
+    All candidates are encoded, sorted by real length and scored in one
+    ``score_batch`` call, whose row blocks then hold candidates of similar
+    length.  The encodings are freed once stacked, before any block is
+    scored.
     """
     encoded = [encode_instance(inst, vocab, config.max_seq_len) for pool in pools for inst in pool]
+    if not encoded:
+        return []
     order = sorted(range(len(encoded)), key=lambda i: len(encoded[i]))
-    chunk = max((len(pool) for pool in pools), default=1)
-    scores = np.empty(len(encoded))
-    for start in range(0, len(order), chunk):
-        rows = order[start : start + chunk]
-        scores[rows] = score_batch(stack_inputs([encoded[i] for i in rows]), params, config)
+    batch = stack_inputs([encoded[i] for i in order])
+    del encoded
+    scores = np.empty(len(order))
+    scores[order] = score_batch(batch, params, config)
     flat = iter(scores.tolist())
     return [rank_scores([next(flat) for _ in pool], [inst.label for inst in pool]) for pool in pools]
 
@@ -383,13 +390,12 @@ def cmd_train(args) -> tuple[list, list]:
     validation = None
     if args.validation:
         if phase == "finetune":
-            validation = _load_pools(args.validation, "jsonl", not args.no_disentangle, args.cap)
+            validation = _answered(_load_pools(args.validation, "jsonl", not args.no_disentangle, args.cap))
+            if not validation:
+                raise CorpusError("validation pools in %s hold no positive candidate" % args.validation)
             sizes = sorted({len(pool) for pool in validation})
             if len(sizes) > 1:
                 raise CorpusError("validation pools in %s have mixed candidate counts %s" % (args.validation, sizes))
-            validation = _answered(validation)
-            if not validation:
-                raise CorpusError("validation pools in %s hold no positive candidate" % args.validation)
         else:
             validation = [
                 inst
@@ -414,18 +420,17 @@ def cmd_train(args) -> tuple[list, list]:
 def _parse_recall_cutoffs(arg: str | None, pools: list[list[MatchingInstance]]) -> list[tuple[int, int]]:
     """The R_n@k cutoffs to report: ``--recall``'s, else R@size,k for k in 1, 2, 5 and R@2,1.
 
+    ``pools`` are the answered pools, the only ones the metrics read.
     R_n@k scores only pools with a positive among their first n candidates.
-    An explicit cutoff whose n exceeds the size of a pool with a positive,
-    or that no pool can score, is a data error, raised before any pool is
-    scored; the default R@2,1 that no pool can score is left out with a
-    warning.
+    An explicit cutoff whose n exceeds the size of a pool, or that no pool
+    can score, is a data error, raised before any pool is scored; the
+    default R@2,1 that no pool can score is left out with a warning.
     """
     def scorable(n: int) -> bool:
         return any(inst.label == 1 for pool in pools for inst in pool[:n])
 
     if arg is not None:
-        # the metrics read only the pools with a positive
-        smallest = min(len(pool) for pool in pools if any(inst.label == 1 for inst in pool))
+        smallest = min(len(pool) for pool in pools)
         cutoffs = []
         for piece in arg.split(","):
             try:
@@ -457,11 +462,12 @@ def cmd_evaluate(args) -> tuple[list, list]:
     vocab = Vocabulary.load(args.vocab)
     model_config, params = _load_model(args.checkpoint, vocab)
     pools = _load_pools(args.pools, "jsonl", not args.no_disentangle, args.cap)
-    if not _answered(pools):
+    answered = _answered(pools)
+    if not answered:
         raise CorpusError("no pool in %s has a positive candidate" % args.pools)
-    cutoffs = _parse_recall_cutoffs(args.recall, pools)
-    ranked = rank_pools(pools, params, model_config, vocab)
+    cutoffs = _parse_recall_cutoffs(args.recall, answered)
     # the metrics are those of the answered pools; the no-answer threshold is chosen on every pool
+    ranked = rank_pools(pools if args.threshold_sweep else answered, params, model_config, vocab)
     report = compute_report([pool for pool in ranked if pool.has_answer], cutoffs)
     if args.threshold_sweep:
         report["threshold"] = select_threshold(ranked, DEFAULT_THRESHOLD_GRID)

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -574,10 +576,123 @@ def forward_batch(
     return (*_heads(x, rows, slots, params), trace)
 
 
+# --- row blocks and scoring ---------------------------------------------------
+
+
+# The bytes a row block may spend on one layer's attention weights and
+# feed-forward activations (``block_rows``).  It is not a block's memory: the
+# trace keeps every layer's activations and backward adds temporaries, so one
+# 512-position row at configs/default.json dimensions peaks at about 124 MB
+# against its 18.9 MB count here.
+BLOCK_BYTES = 3 * 2**20
+
+
+def block_rows(width: int, config: ModelConfig) -> int:
+    """How many rows ``width`` positions wide a block holds: as many as fit ``BLOCK_BYTES``, at least one.
+
+    A row counts ``8 * (num_heads * width**2 + ffn_dim * width)`` bytes: the
+    float64 attention weights and feed-forward activations of a single
+    layer, not the other layers, the rest of the trace or backward's
+    temporaries.  A training step takes it at its widest input; scoring
+    takes it at ``max_seq_len``.
+    """
+    return max(1, BLOCK_BYTES // (8 * (config.num_heads * width * width + config.ffn_dim * width)))
+
+
+def _real_width(mask: np.ndarray) -> int:
+    """One past the last column of ``mask`` that holds a real position (1 when none does)."""
+    real = np.flatnonzero(mask.any(axis=0))
+    return int(real[-1]) + 1 if real.size else 1
+
+
+def _usable_cores() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _score_blocks(batch: Batch, blocks: list[slice], indices, params: Params, config: ModelConfig) -> list:
+    """``(index, probabilities)`` for each block ``blocks[index]``, in ``indices`` order.
+
+    Each block is cut to its own widest row.  At the first block that
+    raises, the list ends with ``(index, exception)``.
+    """
+    scored = []
+    for index in indices:
+        rows = blocks[index]
+        width = _real_width(batch.attention_mask[rows])
+        block = Batch(*(getattr(batch, name)[rows, :width] for name in (*_TRACKS, "attention_mask")))
+        try:
+            match_logits, _, _, _ = forward_batch(block, params, config)
+        except Exception as exc:  # sent to the caller, who raises the first block's
+            scored.append((index, exc))
+            break
+        scored.append((index, sigmoid(match_logits)))
+    return scored
+
+
 def score_batch(batch: Batch, params: Params, config: ModelConfig) -> np.ndarray:
-    """Matching probabilities for a batch."""
-    match_logits, _, _, _ = forward_batch(batch, params, config)
-    return sigmoid(match_logits)
+    """Matching probabilities for a batch, scored in row blocks shared among the usable cores.
+
+    A block holds at most as many positions as a training block at
+    ``max_seq_len``: ``block_rows(max_seq_len) * max_seq_len // width``
+    consecutive rows, with ``width`` the batch's widest row (4 rows at
+    width 128 under configs/toy.json, 1 at width 512 under
+    configs/default.json), and is cut to its own widest row.  So neither the
+    blocks nor the scores depend on the batch's padding or the core count.
+    With N = min(usable cores, blocks) workers, the calling process scores
+    blocks 0, N, 2N, ... and N - 1 forked children the others, round-robin;
+    each child sends its probabilities back as a pickle over a pipe and ends
+    with ``os._exit``.  Every child is waited for before the call returns or
+    raises.  When blocks fail, the lowest-numbered one's exception is
+    raised, as a serial run would.
+
+    Children are forked, not spawned: a spawned worker would import numpy
+    and this package afresh.  OpenBLAS stops its thread pool before a fork
+    (its own ``pthread_atfork`` handler), and ``replyrank.cli.main`` runs
+    it on one thread anyway.
+    """
+    positions = block_rows(config.max_seq_len, config) * config.max_seq_len
+    size = max(1, positions // _real_width(batch.attention_mask))
+    blocks = [slice(start, start + size) for start in range(0, len(batch.token_ids), size)]
+    workers = min(_usable_cores(), len(blocks))
+    children = []  # (pid, read end of its pipe)
+    try:
+        for worker in range(1, workers):
+            source, sink = (open(fd, mode) for fd, mode in zip(os.pipe(), ("rb", "wb")))
+            with sink:
+                try:
+                    pid = os.fork()
+                except OSError:
+                    source.close()
+                    raise
+                if pid == 0:  # the child: it never returns into the caller's code
+                    try:
+                        mine = range(worker, len(blocks), workers)
+                        pickle.dump(_score_blocks(batch, blocks, mine, params, config), sink)
+                        sink.flush()
+                    finally:
+                        os._exit(0)
+            children.append((pid, source))
+        scored = _score_blocks(batch, blocks, range(0, len(blocks), workers), params, config)
+        for pid, pipe in children:
+            data = pipe.read()
+            try:
+                scored += pickle.loads(data)  # written by this function's own child
+            except (EOFError, pickle.UnpicklingError) as exc:
+                raise ChildProcessError("scoring worker %d ended without sending its scores" % pid) from exc
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+    failed = [(index, result) for index, result in scored if isinstance(result, Exception)]
+    if failed:
+        raise min(failed, key=lambda item: item[0])[1]
+    scores = np.empty(len(batch.token_ids))
+    for index, probabilities in scored:
+        scores[blocks[index]] = probabilities
+    return scores
 
 
 def backward(

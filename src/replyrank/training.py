@@ -8,10 +8,11 @@ optimizer with decoupled weight decay and a learning rate decaying linearly
 to zero over the planned steps.
 
 Every step of either phase, and adaptation validation, is one call of
-``_objective``: it runs the batch in row blocks under ``BLOCK_BYTES`` with
-the phase's per-block loss (``_matching_block`` or ``_adaptation_block``)
-and adds the blocks' gradients.  The phases differ only in how a batch is
-drawn: cached encodings and labels, or a fresh corruption draw.
+``_objective``: it runs the batch in row blocks of ``model.block_rows`` at
+its widest input with the phase's per-block loss (``_matching_block`` or
+``_adaptation_block``) and adds the blocks' gradients.  The phases differ
+only in how a batch is drawn: cached encodings and labels, or a fresh
+corruption draw.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .encoding import EncodedInput, MatchingInstance, build_input, encode_instance
 from .evaluation import top1_recall
-from .model import ModelConfig, _is_int, backward, forward_batch, sigmoid, stack_inputs, validate_params
+from .model import ModelConfig, _is_int, backward, block_rows, forward_batch, sigmoid, stack_inputs, validate_params
 from .tokenizer import MASK, NUM_SPECIALS, UNK, Vocabulary
 from .corpus import Utterance
 
@@ -269,30 +270,6 @@ def linear_lr(base_lr: float, step: int, total_steps: int) -> float:
 # --- training loop -------------------------------------------------------------
 
 
-# The bytes a row block may spend on one layer's attention weights and
-# feed-forward activations (``_block_rows``).  A step runs as consecutive row
-# blocks sized to it, and the blocks' gradients are added up before the step's
-# single update; a step that fits is one block.  It is not a block's memory:
-# the trace keeps every layer's activations and backward adds temporaries, so
-# one 512-position row at configs/default.json dimensions peaks at about
-# 124 MB against its 18.9 MB count here.
-BLOCK_BYTES = 3 * 2**20
-
-
-def _block_rows(encoded: Sequence[EncodedInput], model_config: ModelConfig) -> list[slice]:
-    """Consecutive row slices whose count of one layer's activations fits ``BLOCK_BYTES``.
-
-    A row counts ``8 * (num_heads * w * w + ffn_dim * w)`` bytes, with ``w``
-    the widest input of the step: the float64 attention weights and
-    feed-forward activations of a single layer, not the other layers, the
-    rest of the trace or backward's temporaries.  A block holds at least one
-    row.
-    """
-    w = max(len(enc) for enc in encoded)
-    size = max(1, BLOCK_BYTES // (8 * (model_config.num_heads * w * w + model_config.ffn_dim * w)))
-    return [slice(start, start + size) for start in range(0, len(encoded), size)]
-
-
 def _matching_block(encoded: list[EncodedInput], labels: np.ndarray, rows: slice, params, model_config):
     """Matching cross-entropy on rows ``rows`` of a batch: ``((losses,), trace, head gradients)``.
 
@@ -331,19 +308,21 @@ def _adaptation_block(encoded: list[EncodedInput], targets, rows: slice, params,
 def _objective(block_loss, encoded: list[EncodedInput], targets, params, model_config, backprop: bool = True):
     """A phase's loss on one batch, and its gradients when ``backprop``: ``(loss, grads)``.
 
-    The batch runs in the row blocks of ``_block_rows``; ``block_loss`` (a
-    ``*_block`` function) scores one.  The loss is the sum over heads of
-    each head's mean over the whole batch.  Each block's gradients are added
-    into the step's one gradient dict before its trace is freed; without
-    ``backprop`` nothing is differentiated and ``grads`` is None.  The
+    The batch runs in consecutive blocks of ``block_rows`` rows at its
+    widest input; ``block_loss`` (a ``*_block`` function) scores one.  The
+    loss is the sum over heads of each head's mean over the whole batch.
+    Each block's gradients are added into the step's one gradient dict
+    before its trace is freed; without ``backprop`` nothing is
+    differentiated and ``grads`` is None.  The
     parameters are checked once, before the first block, when ``backprop``:
     a non-finite tensor is a ``NumericError`` before any update.
     """
     if backprop:
         validate_params(model_config, params)
     heads, grads = [], None
-    for rows in _block_rows(encoded, model_config):
-        losses, trace, d_heads = block_loss(encoded, targets, rows, params, model_config)
+    size = block_rows(max(len(enc) for enc in encoded), model_config)
+    for start in range(0, len(encoded), size):
+        losses, trace, d_heads = block_loss(encoded, targets, slice(start, start + size), params, model_config)
         if backprop:
             grads = backward(trace, params, *d_heads, grads)
         del trace, d_heads  # free this block's activations before the next forward

@@ -1,5 +1,6 @@
 """Padding happens only in ``stack_inputs``; it must never change a result."""
 
+import os
 from dataclasses import fields, replace
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from replyrank import cli, training
+from replyrank import cli, model, training
 from replyrank.encoding import EncodedInput, encode_instance
 from replyrank.evaluation import rank_scores
-from replyrank.model import Batch, init_params, score_batch, stack_inputs
+from replyrank.model import Batch, forward_batch, init_params, score_batch, stack_inputs
 from replyrank.tokenizer import CLS, PAD, SEP
 from replyrank.training import (
     MASK_FRACTION,
@@ -20,7 +21,7 @@ from replyrank.training import (
     apply_masking,
     plan_masking,
 )
-from helpers import VOCAB, random_encoded, tiny_model_config, topic_pools, topic_vocab, widen
+from helpers import VOCAB, full_length_input, random_encoded, tiny_model_config, topic_pools, topic_vocab, widen
 
 TOLERANCE = 1e-12
 MAX_LEN = 32  # longest input random_encoded builds
@@ -125,18 +126,108 @@ class TestScorePools:
             assert pool_ranked.labels == tuple(inst.label for inst in pool)
             assert pool_ranked.ranking == rank_scores(pool_ranked.scores, pool_ranked.labels).ranking
 
-    def test_length_sorted_chunks_no_larger_than_a_pool(self, monkeypatch):
+    def test_one_score_batch_call_with_rows_in_ascending_length(self, monkeypatch):
         pools = self.mixed_pools()
-        shapes = []
+        batches = []
 
         def recording_score_batch(batch, params, config):
-            shapes.append(batch.token_ids.shape)
+            batches.append(batch)
             return score_batch(batch, params, config)
 
         monkeypatch.setattr(cli, "score_batch", recording_score_batch)
         cli.rank_pools(pools, self.params, self.config, self.vocab)
-        largest = max(len(pool) for pool in pools)
-        assert sum(rows for rows, _ in shapes) == sum(len(pool) for pool in pools)
-        assert all(rows <= largest for rows, _ in shapes)
-        widths = [width for _, width in shapes]
-        assert widths == sorted(widths)
+        assert len(batches) == 1
+        lengths = batches[0].attention_mask.sum(axis=1).tolist()
+        assert len(lengths) == sum(len(pool) for pool in pools)
+        assert lengths == sorted(lengths) and lengths[0] < lengths[-1]
+        assert cli.rank_pools([], self.params, self.config, self.vocab) == []
+        assert len(batches) == 1
+
+
+class TestScoreBatchWorkers:
+    """``score_batch`` scores fixed row blocks, shared among forked workers whatever their count."""
+
+    def setup_method(self):
+        self.config = tiny_model_config(vocab_size=len(VOCAB), max_seq_len=MAX_LEN)
+        self.params = init_params(self.config, np.random.default_rng(11))
+        widest = full_length_input(np.random.default_rng(4), MAX_LEN, len(VOCAB))
+        inputs = sorted(mixed_inputs(4, 10) + [widest], key=len)
+        assert len(inputs[0]) < len(inputs[-2]) < len(inputs[-1]) == MAX_LEN
+        self.batch = stack_inputs(inputs)
+
+    def score(self, monkeypatch, cores, batch=None):
+        """``score_batch`` with 3-row blocks at ``max_seq_len``, as if the process could use ``cores`` CPUs."""
+        width = self.config.max_seq_len
+        per_row = 8 * (self.config.num_heads * width * width + self.config.ffn_dim * width)
+        monkeypatch.setattr(model, "BLOCK_BYTES", 3 * per_row)
+        monkeypatch.setattr(model, "_usable_cores", lambda: cores)
+        return score_batch(self.batch if batch is None else batch, self.params, self.config)
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def rows(self, start, stop):
+        return Batch(*(getattr(self.batch, f.name)[start:stop] for f in fields(Batch)))
+
+    def test_blocks_hold_the_positions_of_a_training_block_at_max_seq_len(self, monkeypatch):
+        shapes = []
+
+        def recording_forward_batch(batch, params, config):
+            shapes.append(batch.token_ids.shape)
+            return forward_batch(batch, params, config)
+
+        monkeypatch.setattr(model, "forward_batch", recording_forward_batch)
+        self.score(monkeypatch, 1)
+        lengths = self.batch.attention_mask.sum(axis=1)
+        # as wide as max_seq_len: 3-row blocks, each cut to its own widest row
+        assert shapes == [(3, lengths[2]), (3, lengths[5]), (3, lengths[8]), (2, MAX_LEN)]
+        shapes.clear()
+        self.score(monkeypatch, 1, self.rows(0, 8))
+        per_block = 3 * MAX_LEN // lengths[7]  # narrower rows: more of them in as many positions
+        assert 3 < per_block < 8
+        assert [rows for rows, _ in shapes] == [per_block, 8 - per_block]
+
+    def test_scores_do_not_depend_on_the_worker_count(self, monkeypatch):
+        serial = self.score(monkeypatch, 1)
+        for cores in (2, 3):
+            assert self.score(monkeypatch, cores).tobytes() == serial.tobytes()
+            self.assert_no_child_left()
+        for start in range(0, len(serial), 3):  # each block alone
+            assert self.score(monkeypatch, 1, self.rows(start, start + 3)).tobytes() == serial[start : start + 3].tobytes()
+
+    def with_bad_tokens(self, *cells):
+        """The batch with token id 999 at each (row, column) of ``cells``, all real positions."""
+        token_ids = self.batch.token_ids.copy()
+        for row, col in cells:
+            assert self.batch.attention_mask[row, col]
+            token_ids[row, col] = 999
+        return replace(self.batch, token_ids=token_ids)
+
+    @pytest.mark.parametrize("cells", [
+        [(4, 2)],  # block 1, which the child scores
+        [(10, 1), (4, 2), (7, 3)],  # blocks 3, 1 and 2: block 1's error is raised
+    ])
+    def test_a_failing_block_raises_as_a_serial_run(self, monkeypatch, cells):
+        batch = self.with_bad_tokens(*cells)
+        errors = []
+        for cores in (1, 2):
+            with pytest.raises(ValueError) as failure:
+                self.score(monkeypatch, cores, batch)
+            errors.append((type(failure.value), str(failure.value)))
+            self.assert_no_child_left()
+        assert errors[0] == errors[1] == (ValueError, "token_ids[1][2] = 999 out of range [0, %d)" % len(VOCAB))
+
+    def test_a_child_that_dies_is_an_error(self, monkeypatch):
+        parent, score_blocks = os.getpid(), model._score_blocks
+
+        def dying_in_a_child(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return score_blocks(*args)
+
+        monkeypatch.setattr(model, "_score_blocks", dying_in_a_child)
+        with pytest.raises(ChildProcessError, match="^scoring worker [0-9]+ ended without sending its scores$"):
+            self.score(monkeypatch, 2)
+        self.assert_no_child_left()

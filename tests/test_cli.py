@@ -12,7 +12,7 @@ from replyrank import cli
 from replyrank.cli import _prepare_training, build_parser, main
 from replyrank.disentangle import DEFAULT_CONTEXT_CAP
 from replyrank.encoding import encode_instance
-from replyrank.model import CHECKPOINT_FORMAT, load_checkpoint
+from replyrank.model import CHECKPOINT_FORMAT, load_checkpoint, score_batch
 from replyrank.tokenizer import SPECIAL_TOKENS, build_vocab
 
 REPO = Path(__file__).resolve().parent.parent
@@ -307,6 +307,18 @@ class TestTrainingCommands:
         assert runs["all"][0].out == runs["answered"][0].out  # the same selected epoch and validation metric
         assert runs["all"][1:] == runs["answered"][1:]
 
+    def test_answerless_validation_pool_sizes_are_not_checked(self, workdir, capsys):
+        vocab = self._vocab(workdir)
+        validation = workdir / "short_unanswered.jsonl"
+        TestEvaluate._short_answerless_pool(validation)
+        capsys.readouterr()
+        assert run("finetune", "--data", workdir / "train.tsv", "--vocab", vocab,
+                   "--config", workdir / "config.json", "--checkpoint-out", workdir / "model.npz",
+                   "--validation", validation) == 0
+        assert capsys.readouterr().err == (
+            "warning: 1 of 16 pools have no positive candidate; every metric leaves them out\n"
+        )
+
     def _rejected_before_training(self, workdir, capsys, phase, data, *flags):
         """Run ``phase`` on ``data``; return its exit code and stderr, checking no checkpoint was written."""
         vocab = self._vocab(workdir)
@@ -491,9 +503,10 @@ class TestTrainingCommands:
                    "--config", workdir / "config.json", "--checkpoint-out", out,
                    "--loss-log", workdir / "a.csv", "--seed", "1") == 0
         resources = json.loads((workdir / "a.npz.manifest.json").read_text())["resources"]
-        assert set(resources) == {"wall_s", "peak_rss_mb", "minor_faults"}
+        assert set(resources) == {"wall_s", "peak_rss_mb", "children_peak_rss_mb", "minor_faults"}
         assert isinstance(resources["wall_s"], float) and resources["wall_s"] > 0
         assert isinstance(resources["peak_rss_mb"], float) and resources["peak_rss_mb"] > 0
+        assert isinstance(resources["children_peak_rss_mb"], float) and resources["children_peak_rss_mb"] >= 0
         assert isinstance(resources["minor_faults"], int) and resources["minor_faults"] >= 0
         assert (workdir / "a.csv").read_text().splitlines()[0] == "step,phase,loss,lr"
 
@@ -834,6 +847,46 @@ class TestEvaluate:
         answered.write_text("".join(lines[first_pool_end + 1:]))
         assert run("evaluate", "--pools", answered, "--checkpoint", ckpt, "--vocab", vocab) == 0
         assert capsys.readouterr().out == captured.out
+
+    def test_answerless_pools_are_scored_only_for_the_sweep(self, workdir, capsys, monkeypatch):
+        pools = workdir / "unanswered.jsonl"
+        assert self._toy_pools(pools, {0, 3, 5}) == 16
+        vocab, ckpt = self._untrained(workdir, pools)
+        rows = []
+
+        def counting_score_batch(batch, params, config):
+            rows.append(len(batch.token_ids))
+            return score_batch(batch, params, config)
+
+        monkeypatch.setattr(cli, "score_batch", counting_score_batch)
+        reports = []
+        for flags in ((), ("--threshold-sweep",)):
+            capsys.readouterr()
+            assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab, *flags) == 0
+            reports.append(capsys.readouterr().out.splitlines())
+        assert rows == [130, 160]
+        assert reports[0] == [line for line in reports[1] if not line.startswith("threshold=")]
+
+    @staticmethod
+    def _short_answerless_pool(path):
+        """The toy test pools, with pool 0 answerless and cut to 3 candidates."""
+        TestEvaluate._toy_pools(path, {0})
+        lines = path.read_text().splitlines(True)
+        first = next(i for i, line in enumerate(lines) if "candidates" in line)
+        record = json.loads(lines[first])
+        record["candidates"] = record["candidates"][:3]
+        lines[first] = json.dumps(record) + "\n"
+        path.write_text("".join(lines))
+
+    def test_answerless_pool_sizes_set_no_default_cutoff(self, workdir, capsys):
+        pools = workdir / "short_unanswered.jsonl"
+        self._short_answerless_pool(pools)
+        vocab, ckpt = self._untrained(workdir, pools)
+        capsys.readouterr()
+        assert run("evaluate", "--pools", pools, "--checkpoint", ckpt, "--vocab", vocab) == 0
+        assert [line.split("=")[0] for line in capsys.readouterr().out.splitlines()] == [
+            "R@2,1", "R@10,1", "R@10,2", "R@10,5", "MAP", "MRR", "P@1"
+        ]
 
     def test_pools_without_any_positive_are_data_error(self, workdir, capsys):
         pools = workdir / "unanswered.jsonl"

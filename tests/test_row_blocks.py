@@ -1,4 +1,4 @@
-"""A training step runs in row blocks under ``training.BLOCK_BYTES`` and adds up their gradients.
+"""A training step runs in row blocks under ``model.BLOCK_BYTES`` and adds up their gradients.
 
 A step that fits the budget is one block; a step split into several must
 give the one-block loss within 1e-12 relative and every gradient within
@@ -18,11 +18,10 @@ from hypothesis import strategies as st
 
 import replyrank.model
 from replyrank import training
-from replyrank.model import ModelConfig, NumericError, init_params, stack_inputs, validate_params
+from replyrank.model import ModelConfig, NumericError, block_rows, init_params, stack_inputs, validate_params
 from replyrank.training import (
     TrainConfig,
     _adaptation_block,
-    _block_rows,
     _matching_block,
     _objective,
     apply_masking,
@@ -49,7 +48,7 @@ def masked_step(rng, size, max_len):
 
 def both_phases(inputs, labels, masked, plans, nsp_labels, params, config, block_bytes):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(training, "BLOCK_BYTES", block_bytes)
+        patch.setattr(replyrank.model, "BLOCK_BYTES", block_bytes)
         return (_objective(_matching_block, inputs, labels, params, config),
                 _objective(_adaptation_block, masked, (plans, nsp_labels), params, config))
 
@@ -57,21 +56,28 @@ def both_phases(inputs, labels, masked, plans, nsp_labels, params, config, block
 class TestBlockRows:
     def test_toy_dimensions(self):
         config = shipped_model("toy.json", len(VOCAB))
-        assert len(_block_rows([full_length_input(np.random.default_rng(0), 31, len(VOCAB))] * 25, config)) == 1
-        wide = [full_length_input(np.random.default_rng(0), 128, len(VOCAB))] * 25
+        assert block_rows(31, config) >= 25
         # 3 MiB // (8 * (4 * 128 * 128 + 128 * 128)) = 4
-        assert _block_rows(wide, config) == [slice(start, start + 4) for start in range(0, 25, 4)]
+        assert block_rows(128, config) == 4
 
     def test_default_dimensions_at_full_width_take_one_row(self):
         config = shipped_model("default.json", len(VOCAB))
-        inputs = [full_length_input(np.random.default_rng(0), 512, len(VOCAB))] * 25
-        assert _block_rows(inputs, config) == [slice(row, row + 1) for row in range(25)]
+        assert block_rows(512, config) == 1
 
-    def test_widest_input_sets_the_size(self):
+    def test_widest_input_sets_the_size(self, monkeypatch):
         config = shipped_model("toy.json", len(VOCAB))
         rng = np.random.default_rng(0)
+        params = init_params(config, rng)
         inputs = [full_length_input(rng, 20, len(VOCAB))] * 24 + [full_length_input(rng, 128, len(VOCAB))]
-        assert len(_block_rows(inputs, config)) == 7
+        stacked = []
+
+        def recording_stack_inputs(encoded):
+            stacked.append(len(encoded))
+            return stack_inputs(encoded)
+
+        monkeypatch.setattr(training, "stack_inputs", recording_stack_inputs)
+        _objective(_matching_block, inputs, np.ones(25), params, config, backprop=False)
+        assert stacked == [4] * 6 + [1]
 
 
 class TestBlocksMatchOneBlock:
@@ -96,8 +102,8 @@ class TestBlocksMatchOneBlock:
         whole = both_phases(inputs, labels, masked, plans, nsp_labels, params, config, ONE_BLOCK)
         blocked = both_phases(inputs, labels, masked, plans, nsp_labels, params, config, block * per_row)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(training, "BLOCK_BYTES", block * per_row)
-            assert len(_block_rows(inputs, config)) >= 2
+            patch.setattr(replyrank.model, "BLOCK_BYTES", block * per_row)
+            assert block_rows(width, config) < size
         for (loss, grads), (blocked_loss, blocked_grads) in zip(whole, blocked):
             assert abs(blocked_loss - loss) <= 1e-12 * abs(loss)
             scale = max(np.abs(g).max() for g in grads.values())
@@ -110,7 +116,7 @@ class TestBlocksMatchOneBlock:
         params = init_params(config, rng)
         inputs, masked, plans, nsp_labels = masked_step(rng, 9, max_len=32)
         width = max(len(enc) for enc in inputs)
-        monkeypatch.setattr(training, "BLOCK_BYTES", 2 * 8 * (2 * width * width + 8 * width))  # 2-row blocks
+        monkeypatch.setattr(replyrank.model, "BLOCK_BYTES", 2 * 8 * (2 * width * width + 8 * width))  # 2-row blocks
         stacked = []
 
         def recording_stack_inputs(encoded):
@@ -135,8 +141,8 @@ class TestParameterCheck:
         params = init_params(config, rng)
         inputs, masked, plans, nsp_labels = masked_step(rng, 9, max_len=32)
         width = max(len(enc) for enc in inputs)
-        monkeypatch.setattr(training, "BLOCK_BYTES", 2 * 8 * (2 * width * width + 8 * width))  # 2-row blocks
-        assert len(_block_rows(inputs, config)) == 5
+        monkeypatch.setattr(replyrank.model, "BLOCK_BYTES", 2 * 8 * (2 * width * width + 8 * width))  # 2-row blocks
+        assert block_rows(width, config) == 2
         checked = []
 
         def counting_validate_params(config, params):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import expit, logsumexp
 
+import replyrank.model
 from replyrank import training
 from replyrank.encoding import EncodedInput
 from replyrank.model import ModelConfig, init_params
@@ -395,7 +396,7 @@ class TestAdaptationValidation:
         draw = _corrupted_pairs(instances, [inst.response for inst in instances], vocab, 32,
                                 np.random.default_rng(6))
         whole, _ = _objective(_adaptation_block, *draw, params, config)
-        monkeypatch.setattr(training, "BLOCK_BYTES", 1)  # one row per block
+        monkeypatch.setattr(replyrank.model, "BLOCK_BYTES", 1)  # one row per block
         chunked = _objective(_adaptation_block, *draw, params, config, backprop=False)[0]
         assert abs(chunked - whole) <= 1e-12
 
