@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
-import pickle
 import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -237,7 +237,6 @@ class ForwardTrace:
 
     config: ModelConfig
     batch: Batch
-    embeddings: np.ndarray
     mlm_rows: np.ndarray
     mlm_slots: np.ndarray
     layers: list[LayerTrace] = field(default_factory=list)
@@ -563,7 +562,7 @@ def forward_batch(
     rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     x = _embed(batch, params, config)
     read, slots = _read_columns(rows, cols, *x.shape[:2])
-    trace = ForwardTrace(config=config, batch=batch, embeddings=x, mlm_rows=rows, mlm_slots=slots)
+    trace = ForwardTrace(config=config, batch=batch, mlm_rows=rows, mlm_slots=slots)
     for i in range(config.num_layers):
         prefix = "layer%d." % i
         query_cols = read if i == config.num_layers - 1 else None
@@ -612,24 +611,18 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _score_blocks(batch: Batch, blocks: list[slice], indices, params: Params, config: ModelConfig) -> list:
-    """``(index, probabilities)`` for each block ``blocks[index]``, in ``indices`` order.
+def _score_blocks(batch: Batch, blocks: list[slice], indices, params: Params, config: ModelConfig,
+                  scores: np.ndarray) -> None:
+    """Write the probabilities of each block ``blocks[index]`` into ``scores``, in ``indices`` order.
 
-    Each block is cut to its own widest row.  At the first block that
-    raises, the list ends with ``(index, exception)``.
+    Each block is cut to its own widest row, and its trace is freed before
+    the next block runs.
     """
-    scored = []
     for index in indices:
         rows = blocks[index]
         width = _real_width(batch.attention_mask[rows])
         block = Batch(*(getattr(batch, name)[rows, :width] for name in (*_TRACKS, "attention_mask")))
-        try:
-            match_logits, _, _, _ = forward_batch(block, params, config)
-        except Exception as exc:  # sent to the caller, who raises the first block's
-            scored.append((index, exc))
-            break
-        scored.append((index, sigmoid(match_logits)))
-    return scored
+        scores[rows] = sigmoid(forward_batch(block, params, config)[0])
 
 
 def score_batch(batch: Batch, params: Params, config: ModelConfig) -> np.ndarray:
@@ -643,10 +636,12 @@ def score_batch(batch: Batch, params: Params, config: ModelConfig) -> np.ndarray
     blocks nor the scores depend on the batch's padding or the core count.
     With N = min(usable cores, blocks) workers, the calling process scores
     blocks 0, N, 2N, ... and N - 1 forked children the others, round-robin;
-    each child sends its probabilities back as a pickle over a pipe and ends
-    with ``os._exit``.  Every child is waited for before the call returns or
-    raises.  When blocks fail, the lowest-numbered one's exception is
-    raised, as a serial run would.
+    every worker writes its probabilities into one anonymous shared mapping,
+    and a child ends with ``os._exit(0)`` once its blocks are written and
+    ``os._exit(1)`` otherwise.  Every child is waited for before the call
+    returns or raises.  If any worker failed, the caller scores every block
+    again, in order, in its own process, so a failure raises what a serial
+    run raises: the lowest-numbered failing block's error.
 
     Children are forked, not spawned: a spawned worker would import numpy
     and this package afresh.  OpenBLAS stops its thread pool before a fork
@@ -657,42 +652,30 @@ def score_batch(batch: Batch, params: Params, config: ModelConfig) -> np.ndarray
     size = max(1, positions // _real_width(batch.attention_mask))
     blocks = [slice(start, start + size) for start in range(0, len(batch.token_ids), size)]
     workers = min(_usable_cores(), len(blocks))
-    children = []  # (pid, read end of its pipe)
+    # MAP_SHARED: what a child writes here, the caller reads (an empty mapping is invalid)
+    scores = np.frombuffer(mmap.mmap(-1, 8 * max(1, len(batch.token_ids))), count=len(batch.token_ids))
+    children, error = [], None
     try:
         for worker in range(1, workers):
-            source, sink = (open(fd, mode) for fd, mode in zip(os.pipe(), ("rb", "wb")))
-            with sink:
+            pid = os.fork()
+            if pid == 0:  # the child: it never returns into the caller's code
                 try:
-                    pid = os.fork()
-                except OSError:
-                    source.close()
-                    raise
-                if pid == 0:  # the child: it never returns into the caller's code
-                    try:
-                        mine = range(worker, len(blocks), workers)
-                        pickle.dump(_score_blocks(batch, blocks, mine, params, config), sink)
-                        sink.flush()
-                    finally:
-                        os._exit(0)
-            children.append((pid, source))
-        scored = _score_blocks(batch, blocks, range(0, len(blocks), workers), params, config)
-        for pid, pipe in children:
-            data = pipe.read()
-            try:
-                scored += pickle.loads(data)  # written by this function's own child
-            except (EOFError, pickle.UnpicklingError) as exc:
-                raise ChildProcessError("scoring worker %d ended without sending its scores" % pid) from exc
+                    _score_blocks(batch, blocks, range(worker, len(blocks), workers), params, config, scores)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children.append(pid)
+        _score_blocks(batch, blocks, range(0, len(blocks), workers), params, config, scores)
+    except Exception as exc:  # raised below, unless the serial pass raises first
+        error = exc
     finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.waitpid(pid, 0)
-    failed = [(index, result) for index, result in scored if isinstance(result, Exception)]
-    if failed:
-        raise min(failed, key=lambda item: item[0])[1]
-    scores = np.empty(len(batch.token_ids))
-    for index, probabilities in scored:
-        scores[blocks[index]] = probabilities
-    return scores
+        failed = [pid for pid in children if os.waitpid(pid, 0)[1] != 0]
+    if error is not None or failed:
+        _score_blocks(batch, blocks, range(len(blocks)), params, config, scores)
+        if error is not None:
+            raise error
+        raise ChildProcessError("scoring worker %d ended without sending its scores" % failed[0])
+    return scores.copy()
 
 
 def backward(
@@ -739,7 +722,7 @@ def save_checkpoint(path: str | Path, config: ModelConfig, params: Params) -> No
 
 def load_checkpoint(path: str | Path) -> tuple[ModelConfig, Params]:
     try:
-        archive = np.load(path, allow_pickle=False)
+        archive = np.load(path)  # numpy>=1.16.3 refuses object arrays unless asked
         if not isinstance(archive, np.lib.npyio.NpzFile):
             raise ValueError("a single array, not an archive")
         with archive:

@@ -49,9 +49,13 @@ class MaskedPosition:
 
 
 # The fixed BERT recipe (Devlin et al., NAACL 2019): the share of content
-# tokens corrupted in adaptation, and AdamW's decoupled weight decay.
+# tokens corrupted in adaptation, and AdamW's decoupled weight decay, moment
+# decay rates and denominator epsilon.
 MASK_FRACTION = 0.15
 WEIGHT_DECAY = 0.01
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -221,9 +225,7 @@ def adamw_step(
     state: AdamState,
     lr: float,
     weight_decay: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    *,
     frozen: frozenset[str] = frozenset(),
 ) -> None:
     """In-place adaptive-moment update with decoupled weight decay.
@@ -232,27 +234,27 @@ def adamw_step(
     exempt, as are frozen tensors (skipped entirely).
     """
     state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for name, p in params.items():
         if name in frozen:
             continue
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        # in two scratch buffers, in the order of m = beta1 * m + (1 - beta1) * g,
-        # v = beta2 * v + (1 - beta2) * g * g and p -= lr * (update + weight_decay * p),
-        # update = (m / bc1) / (sqrt(v / bc2) + eps)
-        scratch = np.multiply(1.0 - beta1, g)
-        m *= beta1
+        # in two scratch buffers, in the order of m = BETA1 * m + (1 - BETA1) * g,
+        # v = BETA2 * v + (1 - BETA2) * g * g and p -= lr * (update + weight_decay * p),
+        # update = (m / bc1) / (sqrt(v / bc2) + ADAM_EPS)
+        scratch = np.multiply(1.0 - BETA1, g)
+        m *= BETA1
         m += scratch
-        np.multiply(1.0 - beta2, g, out=scratch)
+        np.multiply(1.0 - BETA2, g, out=scratch)
         scratch *= g
-        v *= beta2
+        v *= BETA2
         v += scratch
         np.divide(v, bc2, out=scratch)
         np.sqrt(scratch, out=scratch)
-        scratch += eps
+        scratch += ADAM_EPS
         update = np.divide(m, bc1)
         update /= scratch
         if weight_decay > 0.0 and p.ndim >= 2:

@@ -1,6 +1,7 @@
 """Padding happens only in ``stack_inputs``; it must never change a result."""
 
 import os
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -163,11 +164,6 @@ class TestScoreBatchWorkers:
         monkeypatch.setattr(model, "_usable_cores", lambda: cores)
         return score_batch(self.batch if batch is None else batch, self.params, self.config)
 
-    @staticmethod
-    def assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     def rows(self, start, stop):
         return Batch(*(getattr(self.batch, f.name)[start:stop] for f in fields(Batch)))
 
@@ -189,11 +185,23 @@ class TestScoreBatchWorkers:
         assert 3 < per_block < 8
         assert [rows for rows, _ in shapes] == [per_block, 8 - per_block]
 
+    def test_each_block_is_freed_before_the_next_runs(self, monkeypatch):
+        traces = []
+
+        def tracking_forward_batch(batch, params, config):
+            assert all(trace() is None for trace in traces), "an earlier block's trace is still alive"
+            result = forward_batch(batch, params, config)
+            traces.append(weakref.ref(result[3]))
+            return result
+
+        monkeypatch.setattr(model, "forward_batch", tracking_forward_batch)
+        self.score(monkeypatch, 1)
+        assert len(traces) == 4
+
     def test_scores_do_not_depend_on_the_worker_count(self, monkeypatch):
         serial = self.score(monkeypatch, 1)
         for cores in (2, 3):
             assert self.score(monkeypatch, cores).tobytes() == serial.tobytes()
-            self.assert_no_child_left()
         for start in range(0, len(serial), 3):  # each block alone
             assert self.score(monkeypatch, 1, self.rows(start, start + 3)).tobytes() == serial[start : start + 3].tobytes()
 
@@ -216,7 +224,6 @@ class TestScoreBatchWorkers:
             with pytest.raises(ValueError) as failure:
                 self.score(monkeypatch, cores, batch)
             errors.append((type(failure.value), str(failure.value)))
-            self.assert_no_child_left()
         assert errors[0] == errors[1] == (ValueError, "token_ids[1][2] = 999 out of range [0, %d)" % len(VOCAB))
 
     def test_a_child_that_dies_is_an_error(self, monkeypatch):
@@ -230,4 +237,3 @@ class TestScoreBatchWorkers:
         monkeypatch.setattr(model, "_score_blocks", dying_in_a_child)
         with pytest.raises(ChildProcessError, match="^scoring worker [0-9]+ ended without sending its scores$"):
             self.score(monkeypatch, 2)
-        self.assert_no_child_left()

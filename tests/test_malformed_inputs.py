@@ -245,6 +245,15 @@ class TestNamedDefects:
                   ["evaluate", "--pools", files["pools.jsonl"], "--checkpoint", ckpt, "--vocab", files["vocab.txt"],
                    "--out", out], out)
 
+    def test_checkpoint_holding_an_object_array_is_data_error(self, files, tmp_path):
+        ckpt, out = tmp_path / "objects.npz", tmp_path / "report.txt"
+        with np.load(files["model.npz"]) as archive:
+            entries = dict(archive)
+        np.savez(ckpt, **entries, extra=np.array([{"a": 1}], dtype=object))  # loading it would unpickle
+        _rejected(2, "data error: checkpoint %s is not a valid .npz" % ckpt,
+                  ["evaluate", "--pools", files["pools.jsonl"], "--checkpoint", ckpt, "--vocab", files["vocab.txt"],
+                   "--out", out], out)
+
     def test_missing_checkpoint_is_data_error_naming_it(self, files, tmp_path):
         ckpt, out = tmp_path / "missing.npz", tmp_path / "report.txt"
         _rejected(2, "data error: [Errno 2] No such file or directory: %r" % str(ckpt),

@@ -47,7 +47,7 @@ from helpers import (
 
 def embed(enc, params, config):
     """Per-position embedding sum of one input, as the forward pass records it."""
-    return forward_batch(stack_inputs([enc]), params, config)[3].embeddings[0]
+    return forward_batch(stack_inputs([enc]), params, config)[3].layers[0].x_in[0]
 
 
 def forward(enc, params, config, mlm_positions=()):
