@@ -611,6 +611,54 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _workers(jobs: int) -> int:
+    """How many workers share ``jobs`` blocks: ``min(usable cores, jobs)``."""
+    return min(_usable_cores(), jobs)
+
+
+def _on_workers(workers: int, work, rerun, lost: str, release=lambda: None) -> None:
+    """Run ``work(0)`` in the calling process and ``work(w)`` in a forked child for each w in 1 .. workers - 1.
+
+    A child ends with ``os._exit(0)`` once its work returns and with
+    ``os._exit(1)`` otherwise.  In a ``finally``, the caller calls
+    ``release()`` (say, to close the pipe ends it holds, so no child waits
+    on it) and then waits for every child.  If any worker failed, the caller
+    calls ``rerun()``, which does the whole job again serially, so a
+    deterministic failure raises what a serial run raises.  If that returns,
+    the call raises ``ChildProcessError(lost % pid)`` for the first child
+    that failed, from the caller's own exception if there was one (a child's
+    end can fail the caller's share too, at a closed pipe), or else the
+    caller's own exception.
+
+    Children are forked, not spawned: a spawned worker would import numpy
+    and this package afresh.  OpenBLAS stops its thread pool before a fork
+    (its own ``pthread_atfork`` handler), and ``replyrank.cli.main`` runs
+    it on one thread anyway.
+    """
+    children, error = [], None
+    try:
+        for worker in range(1, workers):
+            pid = os.fork()
+            if pid == 0:  # the child: it never returns into the caller's code
+                try:
+                    work(worker)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children.append(pid)
+        work(0)
+    except Exception as exc:  # raised below, unless the serial pass raises first
+        error = exc
+    finally:
+        release()
+        failed = [pid for pid in children if os.waitpid(pid, 0)[1] != 0]
+    if error is not None or failed:
+        rerun()
+        if failed:
+            raise ChildProcessError(lost % failed[0]) from error
+        raise error
+
+
 def _score_blocks(batch: Batch, blocks: list[slice], indices, params: Params, config: ModelConfig,
                   scores: np.ndarray) -> None:
     """Write the probabilities of each block ``blocks[index]`` into ``scores``, in ``indices`` order.
@@ -634,47 +682,25 @@ def score_batch(batch: Batch, params: Params, config: ModelConfig) -> np.ndarray
     width 128 under configs/toy.json, 1 at width 512 under
     configs/default.json), and is cut to its own widest row.  So neither the
     blocks nor the scores depend on the batch's padding or the core count.
-    With N = min(usable cores, blocks) workers, the calling process scores
-    blocks 0, N, 2N, ... and N - 1 forked children the others, round-robin;
-    every worker writes its probabilities into one anonymous shared mapping,
-    and a child ends with ``os._exit(0)`` once its blocks are written and
-    ``os._exit(1)`` otherwise.  Every child is waited for before the call
-    returns or raises.  If any worker failed, the caller scores every block
-    again, in order, in its own process, so a failure raises what a serial
-    run raises: the lowest-numbered failing block's error.
-
-    Children are forked, not spawned: a spawned worker would import numpy
-    and this package afresh.  OpenBLAS stops its thread pool before a fork
-    (its own ``pthread_atfork`` handler), and ``replyrank.cli.main`` runs
-    it on one thread anyway.
+    With N = ``_workers(blocks)`` workers (``_on_workers``), the calling
+    process scores blocks 0, N, 2N, ... and N - 1 forked children the
+    others, round-robin; every worker writes its probabilities into one
+    anonymous shared mapping.  If any worker failed, the caller scores
+    every block again, in order, so a failure raises what a serial run
+    raises: the lowest-numbered failing block's error.
     """
     positions = block_rows(config.max_seq_len, config) * config.max_seq_len
     size = max(1, positions // _real_width(batch.attention_mask))
     blocks = [slice(start, start + size) for start in range(0, len(batch.token_ids), size)]
-    workers = min(_usable_cores(), len(blocks))
+    workers = _workers(len(blocks))
     # MAP_SHARED: what a child writes here, the caller reads (an empty mapping is invalid)
     scores = np.frombuffer(mmap.mmap(-1, 8 * max(1, len(batch.token_ids))), count=len(batch.token_ids))
-    children, error = [], None
-    try:
-        for worker in range(1, workers):
-            pid = os.fork()
-            if pid == 0:  # the child: it never returns into the caller's code
-                try:
-                    _score_blocks(batch, blocks, range(worker, len(blocks), workers), params, config, scores)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            children.append(pid)
-        _score_blocks(batch, blocks, range(0, len(blocks), workers), params, config, scores)
-    except Exception as exc:  # raised below, unless the serial pass raises first
-        error = exc
-    finally:
-        failed = [pid for pid in children if os.waitpid(pid, 0)[1] != 0]
-    if error is not None or failed:
-        _score_blocks(batch, blocks, range(len(blocks)), params, config, scores)
-        if error is not None:
-            raise error
-        raise ChildProcessError("scoring worker %d ended without sending its scores" % failed[0])
+    _on_workers(
+        workers,
+        lambda worker: _score_blocks(batch, blocks, range(worker, len(blocks), workers), params, config, scores),
+        lambda: _score_blocks(batch, blocks, range(len(blocks)), params, config, scores),
+        "scoring worker %d ended without sending its scores",
+    )
     return scores.copy()
 
 

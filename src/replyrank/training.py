@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import csv
 import math
+import mmap
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Literal, Sequence
@@ -27,7 +29,18 @@ import numpy as np
 
 from .encoding import EncodedInput, MatchingInstance, build_input, encode_instance
 from .evaluation import top1_recall
-from .model import ModelConfig, _is_int, backward, block_rows, forward_batch, sigmoid, stack_inputs, validate_params
+from .model import (
+    ModelConfig,
+    _is_int,
+    _on_workers,
+    _workers,
+    backward,
+    block_rows,
+    forward_batch,
+    sigmoid,
+    stack_inputs,
+    validate_params,
+)
 from .tokenizer import MASK, NUM_SPECIALS, UNK, Vocabulary
 from .corpus import Utterance
 
@@ -307,28 +320,117 @@ def _adaptation_block(encoded: list[EncodedInput], targets, rows: slice, params,
     return (mlm_losses, nsp_losses), trace, (np.zeros(len(nsp_losses)), d_nsp, d_mlm)
 
 
+def _blocks_in_order(block_loss, encoded, targets, blocks: list[slice], params, model_config, backprop: bool):
+    """Each block's losses, and the step's gradients when ``backprop``: ``(per-block losses, grads)``.
+
+    Each block's gradients are added into the step's one gradient dict
+    before its trace is freed; without ``backprop`` nothing is
+    differentiated and ``grads`` is None.
+    """
+    heads, grads = [], None
+    for rows in blocks:
+        losses, trace, d_heads = block_loss(encoded, targets, rows, params, model_config)
+        if backprop:
+            grads = backward(trace, params, *d_heads, grads)
+        del trace, d_heads  # free this block's activations before the next forward
+        heads.append(losses)
+    return heads, grads
+
+
+def _tensor_views(flat: np.ndarray, params) -> dict[str, np.ndarray]:
+    """One view of ``flat`` per tensor of ``params``, shaped like it, in order."""
+    views, start = {}, 0
+    for name, tensor in params.items():
+        views[name] = flat[start : start + tensor.size].reshape(tensor.shape)
+        start += tensor.size
+    return views
+
+
+def _blocks_on_workers(block_loss, encoded, targets, blocks: list[slice], params, model_config, workers: int):
+    """``_blocks_in_order``'s result with backprop, from ``workers`` processes (``model._on_workers``).
+
+    Worker w takes blocks w, w + N, ... of the N workers.  It runs each into
+    its own zeroed gradient buffer, then waits on its pipe for the one-byte
+    token that says block j - 1 has been added, adds the buffer into one
+    gradient buffer in an anonymous shared mapping made before the fork,
+    writes the block's losses into the mapping's slot for block j and passes
+    the token to the next worker.  So the blocks' gradients reach the sum
+    one by one in block order, and since ``backward`` adds into each tensor
+    once per call and a sum that starts at +0.0 never becomes -0.0, every
+    entry rounds as in ``_blocks_in_order``'s one running dict.  A worker
+    that reads end-of-file where it expects the token raises; on any
+    failure the caller runs the step again serially.
+    """
+    size = sum(tensor.size for tensor in params.values())
+    width = max(len(enc) for enc in encoded)
+    # a block's slot: its head count, up to three heads' loss counts, then its
+    # losses, at most one a position (masked tokens) and one a row ([CLS] heads)
+    slots = np.cumsum([0] + [4 + len(encoded[rows]) * (width + 1) for rows in blocks])
+    shared = np.frombuffer(mmap.mmap(-1, 8 * (size + slots[-1])))  # MAP_SHARED: every worker writes here
+    grads, losses = shared[:size], shared[size:]
+    ring = [os.pipe() for _ in range(workers)]  # worker w reads ring[w] and writes ring[w + 1]
+    os.write(ring[0][1], b"\0")  # block 0 waits for no earlier block
+    held = {fd for pair in ring for fd in pair}
+
+    def close_all_but(*keep):
+        for fd in held.difference(keep):
+            os.close(fd)
+        held.intersection_update(keep)
+
+    def work(worker):
+        read_end, write_end = ring[worker][0], ring[(worker + 1) % workers][1]
+        close_all_but(read_end, write_end)
+        own = np.zeros(size)
+        own_grads = _tensor_views(own, params)
+        for j in range(worker, len(blocks), workers):
+            if j > worker:
+                own.fill(0.0)
+            block_losses, trace, d_heads = block_loss(encoded, targets, blocks[j], params, model_config)
+            backward(trace, params, *d_heads, own_grads)
+            del trace, d_heads
+            if os.read(read_end, 1) != b"\0":
+                raise ChildProcessError("a training worker ended before adding block %d" % (j - 1))
+            np.add(grads, own, out=grads)
+            record = np.concatenate(([len(block_losses)], [len(head) for head in block_losses], *block_losses))
+            losses[slots[j] : slots[j] + len(record)] = record
+            if j + 1 < len(blocks):
+                os.write(write_end, b"\0")
+
+    _on_workers(workers, work,
+                lambda: _blocks_in_order(block_loss, encoded, targets, blocks, params, model_config, True),
+                "training worker %d ended without adding its gradients", close_all_but)
+    heads = []
+    for start in slots[:-1]:
+        count = int(losses[start])
+        lengths = losses[start + 1 : start + 1 + count].astype(int)
+        values = losses[start + 1 + count : start + 1 + count + lengths.sum()]
+        heads.append(np.split(values, np.cumsum(lengths)[:-1]))
+    return heads, _tensor_views(grads, params)
+
+
 def _objective(block_loss, encoded: list[EncodedInput], targets, params, model_config, backprop: bool = True):
     """A phase's loss on one batch, and its gradients when ``backprop``: ``(loss, grads)``.
 
     The batch runs in consecutive blocks of ``block_rows`` rows at its
     widest input; ``block_loss`` (a ``*_block`` function) scores one.  The
     loss is the sum over heads of each head's mean over the whole batch.
-    Each block's gradients are added into the step's one gradient dict
-    before its trace is freed; without ``backprop`` nothing is
-    differentiated and ``grads`` is None.  The
-    parameters are checked once, before the first block, when ``backprop``:
-    a non-finite tensor is a ``NumericError`` before any update.
+    With ``backprop``, a step of several blocks shares them among
+    ``model._workers(blocks)`` processes (``_blocks_on_workers``), and the
+    result is byte-identical to the serial ``_blocks_in_order``; without
+    ``backprop``, nothing is differentiated, ``grads`` is None and the blocks
+    run serially.  The parameters are checked once, before the first block,
+    when ``backprop``: a non-finite tensor is a ``NumericError`` before any
+    update.
     """
     if backprop:
         validate_params(model_config, params)
-    heads, grads = [], None
     size = block_rows(max(len(enc) for enc in encoded), model_config)
-    for start in range(0, len(encoded), size):
-        losses, trace, d_heads = block_loss(encoded, targets, slice(start, start + size), params, model_config)
-        if backprop:
-            grads = backward(trace, params, *d_heads, grads)
-        del trace, d_heads  # free this block's activations before the next forward
-        heads.append(losses)
+    blocks = [slice(start, start + size) for start in range(0, len(encoded), size)]
+    workers = _workers(len(blocks)) if backprop else 1
+    if workers > 1:
+        heads, grads = _blocks_on_workers(block_loss, encoded, targets, blocks, params, model_config, workers)
+    else:
+        heads, grads = _blocks_in_order(block_loss, encoded, targets, blocks, params, model_config, backprop)
     return float(sum(np.concatenate(head).mean() for head in zip(*heads))), grads
 
 
@@ -416,6 +518,7 @@ def train(
             if not math.isfinite(loss):
                 raise TrainingDiverged("non-finite loss at step %d" % step)
             adamw_step(params, grads, state, lr, WEIGHT_DECAY, frozen=frozen)
+            del grads  # free this step's gradients before the next step's
             step += 1
             log.append(LogEntry(step=step, phase=phase, loss=loss, lr=lr))
 

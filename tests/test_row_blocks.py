@@ -117,6 +117,7 @@ class TestBlocksMatchOneBlock:
         inputs, masked, plans, nsp_labels = masked_step(rng, 9, max_len=32)
         width = max(len(enc) for enc in inputs)
         monkeypatch.setattr(replyrank.model, "BLOCK_BYTES", 2 * 8 * (2 * width * width + 8 * width))  # 2-row blocks
+        monkeypatch.setattr(replyrank.model, "_usable_cores", lambda: 1)  # every block stacked in this process
         stacked = []
 
         def recording_stack_inputs(encoded):
