@@ -98,11 +98,19 @@ def _keep_freed_memory() -> None:
     mallopt(M_TRIM_THRESHOLD, KEEP_FREED_BYTES)
 
 
-def _resources(clock: float, faults: int) -> dict:
-    """Wall time and minor faults since ``clock`` and ``faults`` were read, and lifetime peak RSS.
+def _minor_faults() -> tuple[int, int]:
+    """Minor page faults so far: the process's own, and its children's that it has waited for."""
+    return tuple(resource.getrusage(who).ru_minflt for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 
-    ``peak_rss_mb`` is the process's own; ``children_peak_rss_mb`` is that of
-    its largest child waited for, such as a scoring worker of ``score_batch``.
+
+def _resources(clock: float, faults: tuple[int, int]) -> dict:
+    """Wall time and minor faults since ``clock`` and ``faults`` (``_minor_faults``) were read, and peak RSS.
+
+    The peak RSS is over the process's life.  ``peak_rss_mb`` is the
+    process's own; ``children_peak_rss_mb`` is that of its largest child
+    waited for, such as a scoring worker of ``score_batch``.
+    ``children_minor_faults`` sums those of the children waited for since,
+    such as a training phase's workers.
     """
     usage = resource.getrusage(resource.RUSAGE_SELF)
     children = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -111,7 +119,8 @@ def _resources(clock: float, faults: int) -> dict:
         "wall_s": time.monotonic() - clock,
         "peak_rss_mb": usage.ru_maxrss * rss_unit / 2**20,
         "children_peak_rss_mb": children.ru_maxrss * rss_unit / 2**20,
-        "minor_faults": usage.ru_minflt - faults,
+        "minor_faults": usage.ru_minflt - faults[0],
+        "children_minor_faults": children.ru_minflt - faults[1],
     }
 
 
@@ -166,7 +175,7 @@ def _environment() -> dict:
     }
 
 
-def _write_manifest(args, inputs: list, outputs: list, started: str, clock: float, faults: int) -> None:
+def _write_manifest(args, inputs: list, outputs: list, started: str, clock: float, faults: tuple[int, int]) -> None:
     """Record the run in ``<first output>.manifest.json``; a run that wrote no file gets none."""
     outputs = [Path(p) for p in outputs if p]
     if not outputs:
@@ -602,7 +611,7 @@ def main(argv=None) -> int:
         warnings.showwarning = _print_warning
         try:
             args = parser.parse_args(argv)
-            started, clock, faults = _now(), time.monotonic(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            started, clock, faults = _now(), time.monotonic(), _minor_faults()
             inputs, outputs = args.func(args)
             _write_manifest(args, inputs, outputs, started, clock, faults)
             return EXIT_OK

@@ -25,7 +25,9 @@ import json
 import math
 import mmap
 import os
+import pickle
 import zipfile
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -616,47 +618,127 @@ def _workers(jobs: int) -> int:
     return min(_usable_cores(), jobs)
 
 
-def _on_workers(workers: int, work, rerun, lost: str, release=lambda: None) -> None:
-    """Run ``work(0)`` in the calling process and ``work(w)`` in a forked child for each w in 1 .. workers - 1.
+def _send(fd: int, data: bytes) -> None:
+    """Write ``data`` to the pipe end ``fd`` behind its 8-byte length, as ``_receive`` reads it."""
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
 
-    A child ends with ``os._exit(0)`` once its work returns and with
-    ``os._exit(1)`` otherwise.  In a ``finally``, the caller calls
-    ``release()`` (say, to close the pipe ends it holds, so no child waits
-    on it) and then waits for every child.  If any worker failed, the caller
-    calls ``rerun()``, which does the whole job again serially, so a
-    deterministic failure raises what a serial run raises.  If that returns,
-    the call raises ``ChildProcessError(lost % pid)`` for the first child
-    that failed, from the caller's own exception if there was one (a child's
-    end can fail the caller's share too, at a closed pipe), or else the
-    caller's own exception.
+
+def _receive(fd: int) -> bytes:
+    """The next message ``_send`` wrote to the other end of ``fd``; ``EOFError`` when that end closed first."""
+
+    def read(count: int) -> bytes:
+        chunks = []
+        while count:
+            chunk = os.read(fd, count)
+            if not chunk:
+                raise EOFError
+            chunks.append(chunk)
+            count -= len(chunk)
+        return b"".join(chunks)
+
+    return read(int.from_bytes(read(8), "little"))
+
+
+class _WorkerPool:
+    """The calling process, worker 0, and ``workers - 1`` children forked once, which then run many jobs.
+
+    ``work(worker, job)`` does worker ``worker``'s share of a job, and
+    ``run(job, rerun)`` has every worker do its share.  Each child has its
+    own job pipe, over which ``run`` sends it the job pickled, and its own
+    done pipe, on which it writes one byte when its share is done; so what
+    ``work`` reads from the caller's memory at fork time (the functions it
+    calls, an array mapped shared) is not sent again.  ``ends[w]`` are the
+    pipe ends worker w keeps of pipes that ``work`` uses (say, a ring); the
+    pool owns them, and after the fork each process closes every pipe end
+    that is not its own.  A child ends with ``os._exit(0)`` at end-of-file
+    on its job pipe, that is once the pool is closed, and with
+    ``os._exit(1)`` on any error.
 
     Children are forked, not spawned: a spawned worker would import numpy
     and this package afresh.  OpenBLAS stops its thread pool before a fork
     (its own ``pthread_atfork`` handler), and ``replyrank.cli.main`` runs
     it on one thread anyway.
     """
-    children, error = [], None
-    try:
-        for worker in range(1, workers):
-            pid = os.fork()
-            if pid == 0:  # the child: it never returns into the caller's code
-                try:
-                    work(worker)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            children.append(pid)
-        work(0)
-    except Exception as exc:  # raised below, unless the serial pass raises first
-        error = exc
-    finally:
-        release()
-        failed = [pid for pid in children if os.waitpid(pid, 0)[1] != 0]
-    if error is not None or failed:
+
+    def __init__(self, workers: int, work, lost: str, ends: Sequence[Sequence[int]] = ()) -> None:
+        self.work, self.lost = work, lost
+        ends = [set(own) for own in ends] or [set() for _ in range(workers)]
+        jobs = [os.pipe() for _ in range(1, workers)]
+        done = [os.pipe() for _ in range(1, workers)]
+        self.held = set().union(*ends, *jobs, *done)
+        self.jobs, self.done = [write for _, write in jobs], [read for read, _ in done]
+        self.children: list[int] = []
+        try:
+            for worker in range(1, workers):
+                pid = os.fork()
+                if pid == 0:  # the child: it never returns into the caller's code
+                    try:
+                        self._serve(worker, jobs[worker - 1][0], done[worker - 1][1], ends[worker])
+                    finally:
+                        os._exit(1)
+                self.children.append(pid)
+        except BaseException:
+            self.close()
+            raise
+        self._keep_only(ends[0] | set(self.jobs) | set(self.done))
+
+    def _keep_only(self, keep) -> None:
+        for fd in self.held.difference(keep):
+            os.close(fd)
+        self.held.intersection_update(keep)
+
+    def _serve(self, worker: int, job_end: int, done_end: int, ends) -> None:
+        """A child's life: run each job it is sent, and end at end-of-file."""
+        self._keep_only(ends | {job_end, done_end})
+        while True:
+            try:
+                job = pickle.loads(_receive(job_end))
+            except EOFError:
+                os._exit(0)
+            self.work(worker, job)
+            os.write(done_end, b"\0")
+
+    def run(self, job, rerun) -> None:
+        """``work(w, job)`` on every worker w, with ``rerun()`` as the fallback on any failure.
+
+        If any worker failed (the caller's share raised, or a child's done
+        pipe reached end-of-file), the pool is closed and the caller calls
+        ``rerun()``, which does the whole job again serially, so a
+        deterministic failure raises what a serial run raises.  If that
+        returns, the call raises ``ChildProcessError(lost % pid)`` for the
+        first child that failed, from the caller's own exception if there
+        was one (a child's end can fail the caller's share too, at a closed
+        pipe), or else the caller's own exception.
+        """
+        error = None
+        try:
+            message = pickle.dumps(job, pickle.HIGHEST_PROTOCOL)
+            for fd in self.jobs:
+                _send(fd, message)
+            self.work(0, job)
+            if all(os.read(fd, 1) == b"\0" for fd in self.done):
+                return
+        except Exception as exc:  # raised below, unless the serial pass raises first
+            error = exc
+        failed = self.close()
         rerun()
         if failed:
-            raise ChildProcessError(lost % failed[0]) from error
+            raise ChildProcessError(self.lost % failed[0]) from error
         raise error
+
+    def close(self) -> list[int]:
+        """Close every pipe end the caller holds and wait for every child: the children that failed.
+
+        The children see end-of-file, on their job pipe when idle and on a
+        ring pipe when they wait on the caller or on a child that ended, so
+        none is left waiting.  Closing a closed pool does nothing.
+        """
+        self._keep_only(())
+        failed = [pid for pid in self.children if os.waitpid(pid, 0)[1] != 0]
+        self.children = []
+        return failed
 
 
 def _score_blocks(batch: Batch, blocks: list[slice], indices, params: Params, config: ModelConfig,
@@ -682,7 +764,7 @@ def score_batch(batch: Batch, params: Params, config: ModelConfig) -> np.ndarray
     width 128 under configs/toy.json, 1 at width 512 under
     configs/default.json), and is cut to its own widest row.  So neither the
     blocks nor the scores depend on the batch's padding or the core count.
-    With N = ``_workers(blocks)`` workers (``_on_workers``), the calling
+    With N = ``_workers(blocks)`` workers (a ``_WorkerPool`` for one job), the calling
     process scores blocks 0, N, 2N, ... and N - 1 forked children the
     others, round-robin; every worker writes its probabilities into one
     anonymous shared mapping.  If any worker failed, the caller scores
@@ -695,12 +777,9 @@ def score_batch(batch: Batch, params: Params, config: ModelConfig) -> np.ndarray
     workers = _workers(len(blocks))
     # MAP_SHARED: what a child writes here, the caller reads (an empty mapping is invalid)
     scores = np.frombuffer(mmap.mmap(-1, 8 * max(1, len(batch.token_ids))), count=len(batch.token_ids))
-    _on_workers(
-        workers,
-        lambda worker: _score_blocks(batch, blocks, range(worker, len(blocks), workers), params, config, scores),
-        lambda: _score_blocks(batch, blocks, range(len(blocks)), params, config, scores),
-        "scoring worker %d ended without sending its scores",
-    )
+    share = lambda worker, _: _score_blocks(batch, blocks, range(worker, len(blocks), workers), params, config, scores)
+    with closing(_WorkerPool(workers, share, "scoring worker %d ended without sending its scores")) as pool:
+        pool.run(None, lambda: _score_blocks(batch, blocks, range(len(blocks)), params, config, scores))
     return scores.copy()
 
 

@@ -21,6 +21,7 @@ import csv
 import math
 import mmap
 import os
+from contextlib import closing
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Literal, Sequence
@@ -32,7 +33,7 @@ from .evaluation import top1_recall
 from .model import (
     ModelConfig,
     _is_int,
-    _on_workers,
+    _WorkerPool,
     _workers,
     backward,
     block_rows,
@@ -346,89 +347,144 @@ def _tensor_views(flat: np.ndarray, params) -> dict[str, np.ndarray]:
     return views
 
 
-def _blocks_on_workers(block_loss, encoded, targets, blocks: list[slice], params, model_config, workers: int):
-    """``_blocks_in_order``'s result with backprop, from ``workers`` processes (``model._on_workers``).
+def _shared(size: int) -> np.ndarray:
+    """``size`` zeroed float64 values in an anonymous shared mapping, where every worker reads what any writes."""
+    return np.frombuffer(mmap.mmap(-1, 8 * size))
 
-    Worker w takes blocks w, w + N, ... of the N workers.  It runs each into
-    its own zeroed gradient buffer, then waits on its pipe for the one-byte
-    token that says block j - 1 has been added, adds the buffer into one
-    gradient buffer in an anonymous shared mapping made before the fork,
-    writes the block's losses into the mapping's slot for block j and passes
-    the token to the next worker.  So the blocks' gradients reach the sum
-    one by one in block order, and since ``backward`` adds into each tensor
-    once per call and a sum that starts at +0.0 never becomes -0.0, every
-    entry rounds as in ``_blocks_in_order``'s one running dict.  A worker
-    that reads end-of-file where it expects the token raises; on any
-    failure the caller runs the step again serially.
+
+def _share_params(params) -> None:
+    """Move every tensor of ``params`` into one shared mapping, in place: the dict then holds views of it."""
+    flat = _shared(sum(tensor.size for tensor in params.values()))
+    for name, view in _tensor_views(flat, params).items():
+        view[...] = params[name]
+        params[name] = view
+
+
+def _loss_slots(encoded, blocks: list[slice]) -> np.ndarray:
+    """Where each block's losses start in the shared loss array, and where the last block's end.
+
+    A block's slot holds its head count, up to three heads' loss counts, then
+    its losses: at most one a position (masked tokens) and one a row ([CLS]
+    heads).
     """
-    size = sum(tensor.size for tensor in params.values())
     width = max(len(enc) for enc in encoded)
-    # a block's slot: its head count, up to three heads' loss counts, then its
-    # losses, at most one a position (masked tokens) and one a row ([CLS] heads)
-    slots = np.cumsum([0] + [4 + len(encoded[rows]) * (width + 1) for rows in blocks])
-    shared = np.frombuffer(mmap.mmap(-1, 8 * (size + slots[-1])))  # MAP_SHARED: every worker writes here
-    grads, losses = shared[:size], shared[size:]
-    ring = [os.pipe() for _ in range(workers)]  # worker w reads ring[w] and writes ring[w + 1]
-    os.write(ring[0][1], b"\0")  # block 0 waits for no earlier block
-    held = {fd for pair in ring for fd in pair}
+    return np.cumsum([0] + [4 + len(encoded[rows]) * (width + 1) for rows in blocks])
 
-    def close_all_but(*keep):
-        for fd in held.difference(keep):
-            os.close(fd)
-        held.intersection_update(keep)
 
-    def work(worker):
-        read_end, write_end = ring[worker][0], ring[(worker + 1) % workers][1]
-        close_all_but(read_end, write_end)
+class _StepWorkers:
+    """The workers that share a phase's steps of several blocks, forked once, at the first such step.
+
+    ``step`` returns ``_blocks_in_order``'s result with backprop.  The pool
+    (``model._WorkerPool``) has N = ``model._workers`` of the most blocks a
+    step of at most ``rows`` rows, none wider than ``width``, can have.  It
+    captures the block loss, the parameters and the shared arrays at fork
+    time, and a step sends it only ``(encoded, targets, blocks)``; so the
+    parameters must not move while it is open, and are read where the
+    caller's updates land when they live in a shared mapping
+    (``_share_params``).  The gradient sum and the loss slots are mapped
+    once, before the fork.
+
+    Of a step's B blocks, worker w takes blocks w, w + n, ... of
+    n = min(N, B) workers.  It runs each into its own zeroed gradient
+    buffer, then (for every block but block 0) waits on its pipe of a ring
+    for the one-byte token that says block j - 1 has been added, adds the
+    buffer into the shared gradient sum, writes the block's losses into the
+    block's slot and passes the token to the next worker.  So the blocks'
+    gradients reach the sum one by one in block order, and since
+    ``backward`` adds into each tensor once per call and a sum that starts
+    at +0.0 never becomes -0.0, every entry rounds as in
+    ``_blocks_in_order``'s one running dict.  Worker w reads only ring pipe
+    w and writes only pipe w + 1 (mod N), so a worker that ends makes the
+    next one read end-of-file, which raises; on any failure the caller runs
+    the step again serially.
+    """
+
+    def __init__(self, block_loss, params, model_config, rows: int, width: int) -> None:
+        self.block_loss, self.params, self.config = block_loss, params, model_config
+        self.blocks = math.ceil(rows / block_rows(width, model_config))
+        self.loss_size = 4 * self.blocks + rows * (width + 1)
+        self.pool = None
+
+    def _open(self) -> None:
+        # the children's work refers to none of self, so no cycle keeps the shared arrays alive after the phase
+        block_loss, params, config = self.block_loss, self.params, self.config
+        workers = _workers(self.blocks)
+        size = sum(tensor.size for tensor in params.values())
+        shared = _shared(size + self.loss_size)
+        total, losses = shared[:size], shared[size:]
+        self.sum, self.losses = total, losses
+        self.grads = _tensor_views(total, params)
         own = np.zeros(size)
         own_grads = _tensor_views(own, params)
-        for j in range(worker, len(blocks), workers):
-            if j > worker:
+        ring = [os.pipe() for _ in range(workers)]
+        ends = [(ring[w][0], ring[(w + 1) % workers][1]) for w in range(workers)]
+
+        def work(worker, job):
+            encoded, targets, blocks = job
+            read_end, write_end = ends[worker]
+            slots = _loss_slots(encoded, blocks)
+            for j in range(worker, len(blocks), min(workers, len(blocks))):
                 own.fill(0.0)
-            block_losses, trace, d_heads = block_loss(encoded, targets, blocks[j], params, model_config)
-            backward(trace, params, *d_heads, own_grads)
-            del trace, d_heads
-            if os.read(read_end, 1) != b"\0":
-                raise ChildProcessError("a training worker ended before adding block %d" % (j - 1))
-            np.add(grads, own, out=grads)
-            record = np.concatenate(([len(block_losses)], [len(head) for head in block_losses], *block_losses))
-            losses[slots[j] : slots[j] + len(record)] = record
-            if j + 1 < len(blocks):
-                os.write(write_end, b"\0")
+                block_losses, trace, d_heads = block_loss(encoded, targets, blocks[j], params, config)
+                backward(trace, params, *d_heads, own_grads)
+                del trace, d_heads
+                if j > 0 and os.read(read_end, 1) != b"\0":
+                    raise ChildProcessError("a training worker ended before adding block %d" % (j - 1))
+                np.add(total, own, out=total)
+                record = np.concatenate(([len(block_losses)], [len(head) for head in block_losses], *block_losses))
+                losses[slots[j] : slots[j] + len(record)] = record
+                if j + 1 < len(blocks):
+                    os.write(write_end, b"\0")
 
-    _on_workers(workers, work,
-                lambda: _blocks_in_order(block_loss, encoded, targets, blocks, params, model_config, True),
-                "training worker %d ended without adding its gradients", close_all_but)
-    heads = []
-    for start in slots[:-1]:
-        count = int(losses[start])
-        lengths = losses[start + 1 : start + 1 + count].astype(int)
-        values = losses[start + 1 + count : start + 1 + count + lengths.sum()]
-        heads.append(np.split(values, np.cumsum(lengths)[:-1]))
-    return heads, _tensor_views(grads, params)
+        self.pool = _WorkerPool(workers, work, "training worker %d ended without adding its gradients", ends)
+
+    def step(self, encoded, targets, blocks: list[slice]):
+        """``(per-block losses, grads)`` of one step; ``grads`` view the shared sum, valid until the next step."""
+        if self.pool is None:
+            self._open()
+        self.sum.fill(0.0)
+        self.pool.run((encoded, targets, blocks), lambda: _blocks_in_order(
+            self.block_loss, encoded, targets, blocks, self.params, self.config, True))
+        heads = []
+        for start in _loss_slots(encoded, blocks)[:-1]:
+            count = int(self.losses[start])
+            lengths = self.losses[start + 1 : start + 1 + count].astype(int)
+            values = self.losses[start + 1 + count : start + 1 + count + lengths.sum()]
+            heads.append(np.split(values, np.cumsum(lengths)[:-1]))
+        return heads, self.grads
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.close()
 
 
-def _objective(block_loss, encoded: list[EncodedInput], targets, params, model_config, backprop: bool = True):
+def _objective(block_loss, encoded: list[EncodedInput], targets, params, model_config, backprop: bool = True,
+               workers: _StepWorkers | None = None):
     """A phase's loss on one batch, and its gradients when ``backprop``: ``(loss, grads)``.
 
     The batch runs in consecutive blocks of ``block_rows`` rows at its
     widest input; ``block_loss`` (a ``*_block`` function) scores one.  The
     loss is the sum over heads of each head's mean over the whole batch.
-    With ``backprop``, a step of several blocks shares them among
-    ``model._workers(blocks)`` processes (``_blocks_on_workers``), and the
-    result is byte-identical to the serial ``_blocks_in_order``; without
-    ``backprop``, nothing is differentiated, ``grads`` is None and the blocks
-    run serially.  The parameters are checked once, before the first block,
-    when ``backprop``: a non-finite tensor is a ``NumericError`` before any
-    update.
+    With ``backprop``, a step of several blocks and more than one usable
+    core runs on ``workers`` (a ``_StepWorkers`` of the same block loss and
+    parameters), or on workers forked for this call when it is None, and
+    the result is byte-identical to the serial ``_blocks_in_order``;
+    without ``backprop``, nothing is differentiated, ``grads`` is None and
+    the blocks run serially.  The parameters are checked once, before the
+    first block, when ``backprop``: a non-finite tensor is a
+    ``NumericError`` before any update.
     """
     if backprop:
         validate_params(model_config, params)
-    size = block_rows(max(len(enc) for enc in encoded), model_config)
+    width = max(len(enc) for enc in encoded)
+    size = block_rows(width, model_config)
     blocks = [slice(start, start + size) for start in range(0, len(encoded), size)]
-    workers = _workers(len(blocks)) if backprop else 1
-    if workers > 1:
-        heads, grads = _blocks_on_workers(block_loss, encoded, targets, blocks, params, model_config, workers)
+    if backprop and _workers(len(blocks)) > 1:
+        if workers is None:  # a lone step: workers for it alone
+            with closing(_StepWorkers(block_loss, params, model_config, len(encoded), width)) as lone:
+                heads, grads = lone.step(encoded, targets, blocks)
+        else:
+            heads, grads = workers.step(encoded, targets, blocks)
     else:
         heads, grads = _blocks_in_order(block_loss, encoded, targets, blocks, params, model_config, backprop)
     return float(sum(np.concatenate(head).mean() for head in zip(*heads))), grads
@@ -462,12 +518,19 @@ def train(
     ``validation`` is a list of candidate pools (lists of instances), each
     holding a positive; the returned params are the epoch checkpoint with
     the best validation metric (lowest combined loss, respectively highest
-    top-1 recall).
+    top-1 recall).  ``validation`` may be None but not empty.
+
+    The dict ``params`` is updated in place, but its tensors are first moved
+    into one shared mapping (``_share_params``), so an array taken from it
+    before the call does not see the updates.  The phase's steps of several
+    blocks run on one ``_StepWorkers``, closed when the phase ends.
     """
     if phase not in ("adapt", "finetune"):
         raise ValueError("unknown phase %r" % phase)
     if not dataset:
         raise ValueError("dataset is empty")
+    if validation is not None and not validation:
+        raise ValueError("validation is empty: give None to train without validation")
     max_len = model_config.max_seq_len
     rng = np.random.default_rng(train_config.seed)
 
@@ -501,6 +564,7 @@ def train(
 
     steps_per_epoch = math.ceil(len(instances) / train_config.batch_size)
     total_steps = steps_per_epoch * train_config.max_epochs
+    _share_params(params)  # before AdamState, which can reuse the memory of the old arrays
     state = AdamState.for_params(params)
     log: list[LogEntry] = []
     best_epoch: int | None = None
@@ -509,31 +573,33 @@ def train(
     validation_history: list[float] = []
 
     step = 0
-    for epoch in range(train_config.max_epochs):
-        order = rng.permutation(len(instances))
-        for start in range(0, len(instances), train_config.batch_size):
-            batch_idx = order[start : start + train_config.batch_size]
-            lr = linear_lr(train_config.learning_rate, step, total_steps)
-            loss, grads = _objective(block_loss, *draw(batch_idx), params, model_config)
-            if not math.isfinite(loss):
-                raise TrainingDiverged("non-finite loss at step %d" % step)
-            adamw_step(params, grads, state, lr, WEIGHT_DECAY, frozen=frozen)
-            del grads  # free this step's gradients before the next step's
-            step += 1
-            log.append(LogEntry(step=step, phase=phase, loss=loss, lr=lr))
+    batch_rows = min(train_config.batch_size, len(instances))
+    with closing(_StepWorkers(block_loss, params, model_config, batch_rows, max_len)) as workers:
+        for epoch in range(train_config.max_epochs):
+            order = rng.permutation(len(instances))
+            for start in range(0, len(instances), train_config.batch_size):
+                batch_idx = order[start : start + train_config.batch_size]
+                lr = linear_lr(train_config.learning_rate, step, total_steps)
+                loss, grads = _objective(block_loss, *draw(batch_idx), params, model_config, workers=workers)
+                if not math.isfinite(loss):
+                    raise TrainingDiverged("non-finite loss at step %d" % step)
+                adamw_step(params, grads, state, lr, WEIGHT_DECAY, frozen=frozen)
+                del grads  # free a serial step's gradients before the next step's
+                step += 1
+                log.append(LogEntry(step=step, phase=phase, loss=loss, lr=lr))
 
-        if validation is not None:
-            if phase == "adapt":
-                metric = _objective(block_loss, *val_fixed, params, model_config, backprop=False)[0]
-                better = best_metric is None or metric < best_metric
-            else:
-                metric = _validation_recall_at_1(validation, params, model_config, vocab)
-                better = best_metric is None or metric > best_metric
-            validation_history.append(metric)
-            if better:
-                best_metric = metric
-                best_epoch = epoch
-                best_params = {k: v.copy() for k, v in params.items()}
+            if validation is not None:
+                if phase == "adapt":
+                    metric = _objective(block_loss, *val_fixed, params, model_config, backprop=False)[0]
+                    better = best_metric is None or metric < best_metric
+                else:
+                    metric = _validation_recall_at_1(validation, params, model_config, vocab)
+                    better = best_metric is None or metric > best_metric
+                validation_history.append(metric)
+                if better:
+                    best_metric = metric
+                    best_epoch = epoch
+                    best_params = {k: v.copy() for k, v in params.items()}
 
     if best_params is not None:
         for k in params:

@@ -503,11 +503,13 @@ class TestTrainingCommands:
                    "--config", workdir / "config.json", "--checkpoint-out", out,
                    "--loss-log", workdir / "a.csv", "--seed", "1") == 0
         resources = json.loads((workdir / "a.npz.manifest.json").read_text())["resources"]
-        assert set(resources) == {"wall_s", "peak_rss_mb", "children_peak_rss_mb", "minor_faults"}
+        assert set(resources) == {"wall_s", "peak_rss_mb", "children_peak_rss_mb", "minor_faults",
+                                  "children_minor_faults"}
         assert isinstance(resources["wall_s"], float) and resources["wall_s"] > 0
         assert isinstance(resources["peak_rss_mb"], float) and resources["peak_rss_mb"] > 0
         assert isinstance(resources["children_peak_rss_mb"], float) and resources["children_peak_rss_mb"] >= 0
         assert isinstance(resources["minor_faults"], int) and resources["minor_faults"] >= 0
+        assert isinstance(resources["children_minor_faults"], int) and resources["children_minor_faults"] >= 0
         assert (workdir / "a.csv").read_text().splitlines()[0] == "step,phase,loss,lr"
 
     def test_manifest_records_environment(self, workdir):

@@ -365,6 +365,16 @@ class TestTrain:
         with pytest.raises(ValueError):
             train("finetune", [], params, self.config, TrainConfig(), self.vocab)
 
+    @pytest.mark.parametrize("phase", ["adapt", "finetune"])
+    def test_empty_validation_is_rejected_before_any_step(self, monkeypatch, phase):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(training, "_objective", no_step)
+        params = init_params(self.config, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^validation is empty"):
+            train(phase, self.instances, params, self.config, TrainConfig(batch_size=8), self.vocab, validation=[])
+
     def test_adapt_validation_history(self):
         params = init_params(self.config, np.random.default_rng(3))
         tc = TrainConfig(learning_rate=1e-3, batch_size=8, max_epochs=3, seed=0)

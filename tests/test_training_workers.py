@@ -1,13 +1,15 @@
 """A training step of several row blocks runs them on every usable core, byte-identical to the serial run.
 
-``training._blocks_on_workers`` adds each block's fresh gradients into the
+``training._StepWorkers`` adds each block's fresh gradients into the
 step's shared sum in block order.  That equals the serial loop's one running
 dict only because ``backward`` adds into every gradient tensor exactly once
 per call (``TestBackwardAddsOnce``).  The tests patch ``model._usable_cores``
 to pick the worker count and ``model.BLOCK_BYTES`` for 2-row blocks.
 """
 
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import replyrank.model
+import replyrank.training
 from replyrank.encoding import encode_instance
 from replyrank.model import ModelConfig, NumericError, backward, forward_batch, init_params, stack_inputs
 from replyrank.training import TrainConfig, _matching_block, _objective, train
@@ -75,14 +78,18 @@ class TestTrainAtEveryWorkerCount:
         self.instances = topic_instances(np.random.default_rng(5), 28)
         self.width = max(len(encode_instance(inst, self.vocab, 32)) for inst in self.instances)
 
-    def run(self, monkeypatch, phase, cores):
-        """Loss log and final parameters of a 2-epoch run in 7-row batches (four blocks a step) on ``cores``."""
-        two_row_blocks(monkeypatch, self.config, self.width)
+    def run(self, monkeypatch, phase, cores, validate=True, one_block=False):
+        """Loss log and final parameters of a 2-epoch run in 7-row batches (four blocks a step, or one) on ``cores``."""
+        if one_block:
+            monkeypatch.setattr(replyrank.model, "BLOCK_BYTES", 10**9)
+        else:
+            two_row_blocks(monkeypatch, self.config, self.width)
         monkeypatch.setattr(replyrank.model, "_usable_cores", lambda: cores)
         params = init_params(self.config, np.random.default_rng(2))
         validation = self.instances[:6] if phase == "adapt" else topic_pools(np.random.default_rng(6), 3, pool_size=4)
         result = train(phase, self.instances, params, self.config,
-                       TrainConfig(learning_rate=1e-3, batch_size=7, max_epochs=2, seed=3), self.vocab, validation)
+                       TrainConfig(learning_rate=1e-3, batch_size=7, max_epochs=2, seed=3), self.vocab,
+                       validation if validate else None)
         log = [(e.step, e.phase, e.loss.hex(), e.lr.hex()) for e in result.log]
         return log, {name: p.tobytes() for name, p in result.params.items()}
 
@@ -92,6 +99,97 @@ class TestTrainAtEveryWorkerCount:
         assert len(serial[0]) == (4 if phase == "adapt" else 8)
         for cores in (2, 3):
             assert self.run(monkeypatch, phase, cores) == serial
+
+    @pytest.mark.parametrize("phase", ["adapt", "finetune"])
+    def test_a_phase_forks_each_child_once_whatever_its_step_count(self, monkeypatch, phase):
+        forks, fork = [], os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        for cores in (2, 3):
+            forks.clear()
+            log, _ = self.run(monkeypatch, phase, cores, validate=False)
+            assert len(log) == (4 if phase == "adapt" else 8)
+            assert len(forks) == cores - 1
+        forks.clear()
+        self.run(monkeypatch, phase, 3, validate=False, one_block=True)
+        assert forks == []
+
+    def test_the_phase_workers_are_freed_without_the_cycle_collector(self, monkeypatch):
+        """No reference cycle keeps a finished phase's shared arrays, gradient buffer and parameters alive."""
+        made = []
+
+        class Recorded(replyrank.training._StepWorkers):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(replyrank.training, "_StepWorkers", Recorded)
+        gc.disable()
+        try:
+            self.run(monkeypatch, "finetune", 2, validate=False)
+            assert len(made) == 1 and made[0]() is None
+        finally:
+            gc.enable()
+
+
+class TestFailuresAtALaterStep:
+    """A block that fails at step 2 raises what a serial run raises; a child that dies there is an error.
+
+    The pool was forked at step 1, so these failures reach workers that have
+    already run a step.  The blocks tell step 2 from step 1 by the
+    parameters, which AdamW has moved by then, in every worker; the conftest
+    guards check that the failed phase leaves no child process and no file
+    descriptor behind.
+    """
+
+    def setup_method(self):
+        TestTrainAtEveryWorkerCount.setup_method(self)
+        self.initial = init_params(self.config, np.random.default_rng(2))
+
+    def train(self, monkeypatch, cores, block_loss):
+        two_row_blocks(monkeypatch, self.config, self.width)
+        monkeypatch.setattr(replyrank.model, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(replyrank.training, "_matching_block", block_loss)
+        params = {name: p.copy() for name, p in self.initial.items()}
+        train("finetune", self.instances, params, self.config,
+              TrainConfig(learning_rate=1e-3, batch_size=7, max_epochs=2, seed=3), self.vocab)
+
+    def after_step_1(self, params):
+        return not np.array_equal(params["token_table"], self.initial["token_table"])
+
+    @pytest.mark.parametrize("failing", [{0}, {1}, {3, 1, 2}])
+    def test_a_failing_block_raises_as_a_serial_run(self, monkeypatch, failing):
+        def failing_block(encoded, targets, rows, params, config):
+            if self.after_step_1(params) and rows.start // 2 in failing:
+                raise NumericError("non-finite values in block %d" % (rows.start // 2))
+            return _matching_block(encoded, targets, rows, params, config)
+
+        errors = []
+        for cores in (1, 2, 3):
+            with pytest.raises(NumericError) as failure:
+                self.train(monkeypatch, cores, failing_block)
+            errors.append((type(failure.value), str(failure.value)))
+        assert errors == [(NumericError, "non-finite values in block %d" % min(failing))] * 3
+
+    @pytest.mark.parametrize("cores, stop", [
+        (2, 1),  # a block the caller waits on
+        (2, 3),  # the step's last block
+        (3, 2),  # the block before the caller's block 3
+    ])
+    def test_a_child_that_dies_is_an_error(self, monkeypatch, cores, stop):
+        parent = os.getpid()
+
+        def dying_block(encoded, targets, rows, params, config):
+            if os.getpid() != parent and self.after_step_1(params) and rows.start // 2 == stop:
+                os._exit(1)
+            return _matching_block(encoded, targets, rows, params, config)
+
+        with pytest.raises(ChildProcessError, match="^training worker [0-9]+ ended without adding its gradients$"):
+            self.train(monkeypatch, cores, dying_block)
 
 
 class TestFailures:
