@@ -520,9 +520,10 @@ def _heads_backward(trace: ForwardTrace, params: Params, grads: Params, d_match,
     d_nsp = np.asarray(d_nsp, dtype=float).reshape(len(final), 2)
     d_mlm = np.asarray(d_mlm, dtype=float).reshape(len(rows), params["mlm_head.w"].shape[1])
     dx = np.zeros_like(final)
-    d_read = _linear_backward(d_mlm, final[rows, slots], params, grads, "mlm_head.", "")
-    b, r, h = dx.shape
-    _scatter_add(dx.reshape(b * r, h), rows * r + slots, d_read)
+    if len(rows):  # with no vocabulary logits (finetune) the head's gradient would be a dense zero product
+        d_read = _linear_backward(d_mlm, final[rows, slots], params, grads, "mlm_head.", "")
+        b, r, h = dx.shape
+        _scatter_add(dx.reshape(b * r, h), rows * r + slots, d_read)
     cls = final[:, 0, :]
     grads["match_head.w"] += (cls * d_match[:, None]).sum(axis=0)[:, None]
     grads["match_head.b"] += d_match.sum(keepdims=True)
@@ -797,8 +798,10 @@ def backward(
     head does not take part in the loss.  ``d_mlm`` is (M, vocab), one row
     per (row, position) pair the forward pass computed vocabulary logits
     for, and is scattered back to those pairs' read slots; it is
-    (0, vocab) when the forward requested none.  The gradients are added
-    into ``grads`` when it is given, and returned; otherwise into zeros.
+    (0, vocab) when the forward requested none, and the vocabulary head's
+    gradient is then left as it is.  The gradients are added into ``grads``
+    when it is given, each tensor at most once, and returned; otherwise
+    into zeros.
     The parameters are not checked here; ``training._objective`` checks
     them once per step.
     """

@@ -10,9 +10,11 @@ to zero over the planned steps.
 Every step of either phase, and adaptation validation, is one call of
 ``_objective``: it runs the batch in row blocks of ``model.block_rows`` at
 its widest input with the phase's per-block loss (``_matching_block`` or
-``_adaptation_block``) and adds the blocks' gradients.  The phases differ
-only in how a batch is drawn: cached encodings and labels, or a fresh
-corruption draw.
+``_adaptation_block``) and adds the blocks' gradients.  A batch of several
+blocks is cut in length order (``_row_blocks``), so each block is padded
+only to the longest of rows of similar length.  The phases differ only in
+how a batch is drawn: cached encodings and labels, or a fresh corruption
+draw.
 """
 
 from __future__ import annotations
@@ -92,10 +94,14 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class LogEntry:
+    """One optimizer step: its loss and learning rate, and the real and padded positions its row blocks stacked."""
+
     step: int
     phase: str
     loss: float
     lr: float
+    real_slots: int
+    padded_slots: int
 
 
 @dataclass
@@ -458,13 +464,45 @@ class _StepWorkers:
             self.pool.close()
 
 
+def _row_blocks(encoded: list[EncodedInput], model_config) -> tuple[list[int], list[slice]]:
+    """``(order, blocks)``: a batch runs its rows in ``order``, in ``blocks`` of ``block_rows`` rows at its widest.
+
+    A batch of one block keeps its order.  A batch of several is sorted
+    stably by length, so each block is stacked only as wide as its own
+    longest row, among rows of similar length, instead of a random long one.
+    """
+    lengths = [len(enc) for enc in encoded]
+    size = block_rows(max(lengths), model_config)
+    order = list(range(len(lengths)))
+    if size < len(lengths):
+        order.sort(key=lengths.__getitem__)
+    return order, [slice(start, start + size) for start in range(0, len(lengths), size)]
+
+
+def _in_order(targets, order: list[int]):
+    """A batch's targets rearranged with its rows: an array or a list of one per row, or a tuple of them."""
+    if isinstance(targets, tuple):
+        return tuple(_in_order(part, order) for part in targets)
+    return targets[order] if isinstance(targets, np.ndarray) else [targets[i] for i in order]
+
+
+def _slot_counts(encoded: list[EncodedInput], model_config) -> tuple[int, int]:
+    """``(real, padded)``: a batch's real positions, and the padding its row blocks stack beside them."""
+    order, blocks = _row_blocks(encoded, model_config)
+    lengths = [len(encoded[i]) for i in order]
+    real = sum(lengths)
+    return real, sum(len(lengths[rows]) * max(lengths[rows]) for rows in blocks) - real
+
+
 def _objective(block_loss, encoded: list[EncodedInput], targets, params, model_config, backprop: bool = True,
                workers: _StepWorkers | None = None):
     """A phase's loss on one batch, and its gradients when ``backprop``: ``(loss, grads)``.
 
-    The batch runs in consecutive blocks of ``block_rows`` rows at its
-    widest input; ``block_loss`` (a ``*_block`` function) scores one.  The
-    loss is the sum over heads of each head's mean over the whole batch.
+    The batch runs in the blocks of ``_row_blocks``, its rows and
+    ``targets`` (the finetune labels, or the adaptation plans and pair
+    labels) moved to their order; ``block_loss`` (a ``*_block`` function)
+    scores one.  The loss is the sum over heads of each head's mean over the
+    whole batch.
     With ``backprop``, a step of several blocks and more than one usable
     core runs on ``workers`` (a ``_StepWorkers`` of the same block loss and
     parameters), or on workers forked for this call when it is None, and
@@ -476,11 +514,11 @@ def _objective(block_loss, encoded: list[EncodedInput], targets, params, model_c
     """
     if backprop:
         validate_params(model_config, params)
-    width = max(len(enc) for enc in encoded)
-    size = block_rows(width, model_config)
-    blocks = [slice(start, start + size) for start in range(0, len(encoded), size)]
+    order, blocks = _row_blocks(encoded, model_config)
+    encoded, targets = [encoded[i] for i in order], _in_order(targets, order)
     if backprop and _workers(len(blocks)) > 1:
         if workers is None:  # a lone step: workers for it alone
+            width = max(len(enc) for enc in encoded)
             with closing(_StepWorkers(block_loss, params, model_config, len(encoded), width)) as lone:
                 heads, grads = lone.step(encoded, targets, blocks)
         else:
@@ -580,13 +618,15 @@ def train(
             for start in range(0, len(instances), train_config.batch_size):
                 batch_idx = order[start : start + train_config.batch_size]
                 lr = linear_lr(train_config.learning_rate, step, total_steps)
-                loss, grads = _objective(block_loss, *draw(batch_idx), params, model_config, workers=workers)
+                encoded, targets = draw(batch_idx)
+                loss, grads = _objective(block_loss, encoded, targets, params, model_config, workers=workers)
                 if not math.isfinite(loss):
                     raise TrainingDiverged("non-finite loss at step %d" % step)
                 adamw_step(params, grads, state, lr, WEIGHT_DECAY, frozen=frozen)
                 del grads  # free a serial step's gradients before the next step's
                 step += 1
-                log.append(LogEntry(step=step, phase=phase, loss=loss, lr=lr))
+                real, padded = _slot_counts(encoded, model_config)
+                log.append(LogEntry(step=step, phase=phase, loss=loss, lr=lr, real_slots=real, padded_slots=padded))
 
             if validation is not None:
                 if phase == "adapt":
@@ -610,6 +650,7 @@ def train(
 def write_loss_log(path: str | Path, entries: Sequence[LogEntry]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "phase", "loss", "lr"])
+        writer.writerow(["step", "phase", "loss", "lr", "real_slots", "padded_slots"])
         for entry in entries:
-            writer.writerow([entry.step, entry.phase, "%.10g" % entry.loss, "%.10g" % entry.lr])
+            writer.writerow([entry.step, entry.phase, "%.10g" % entry.loss, "%.10g" % entry.lr,
+                             entry.real_slots, entry.padded_slots])

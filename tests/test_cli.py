@@ -510,7 +510,7 @@ class TestTrainingCommands:
         assert isinstance(resources["children_peak_rss_mb"], float) and resources["children_peak_rss_mb"] >= 0
         assert isinstance(resources["minor_faults"], int) and resources["minor_faults"] >= 0
         assert isinstance(resources["children_minor_faults"], int) and resources["children_minor_faults"] >= 0
-        assert (workdir / "a.csv").read_text().splitlines()[0] == "step,phase,loss,lr"
+        assert (workdir / "a.csv").read_text().splitlines()[0] == "step,phase,loss,lr,real_slots,padded_slots"
 
     def test_manifest_records_environment(self, workdir):
         vocab = self._vocab(workdir)

@@ -110,14 +110,47 @@ class TestBlocksMatchOneBlock:
             for name in grads:
                 assert np.abs(blocked_grads[name] - grads[name]).max() <= 1e-10 * scale, name
 
-    def test_blocks_are_consecutive_and_as_wide_as_their_widest_row(self, monkeypatch):
+    def test_blocks_are_cut_in_length_order_and_as_wide_as_their_widest_row(self, monkeypatch):
         rng = np.random.default_rng(3)
         config = ModelConfig(vocab_size=len(VOCAB), hidden_dim=8, num_layers=1, num_heads=2, ffn_dim=8, max_seq_len=32)
         params = init_params(config, rng)
         inputs, masked, plans, nsp_labels = masked_step(rng, 9, max_len=32)
+        labels = rng.integers(0, 2, size=9).astype(float)
         width = max(len(enc) for enc in inputs)
         monkeypatch.setattr(replyrank.model, "BLOCK_BYTES", 2 * 8 * (2 * width * width + 8 * width))  # 2-row blocks
         monkeypatch.setattr(replyrank.model, "_usable_cores", lambda: 1)  # every block stacked in this process
+        stacked, scored = [], []
+
+        def recording_stack_inputs(encoded):
+            stacked.append(list(encoded))
+            return stack_inputs(encoded)
+
+        monkeypatch.setattr(training, "stack_inputs", recording_stack_inputs)
+        for phase_inputs, block_loss, targets, columns in ((inputs, _matching_block, labels, lambda t: (t,)),
+                                                           (masked, _adaptation_block, (plans, nsp_labels), tuple)):
+            def recording_block(encoded, targets, rows, params, config, block_loss=block_loss, columns=columns):
+                scored.extend(zip(encoded[rows], *(column[rows] for column in columns(targets))))
+                return block_loss(encoded, targets, rows, params, config)
+
+            stacked.clear()
+            scored.clear()
+            _objective(recording_block, phase_inputs, targets, params, config)
+            in_length_order = sorted(phase_inputs, key=len)
+            assert in_length_order != phase_inputs  # the batch is not already sorted
+            assert [len(block) for block in stacked] == [2, 2, 2, 2, 1]
+            assert [enc for block in stacked for enc in block] == in_length_order
+            for block in stacked:
+                assert stack_inputs(block).token_ids.shape[1] == max(len(enc) for enc in block)
+            # each row is scored with its own targets: its label, or its plan and pair label
+            assert scored == sorted(zip(phase_inputs, *columns(targets)), key=lambda row: len(row[0]))
+
+    def test_a_one_block_step_stacks_its_rows_in_batch_order(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        config = ModelConfig(vocab_size=len(VOCAB), hidden_dim=8, num_layers=1, num_heads=2, ffn_dim=8, max_seq_len=32)
+        params = init_params(config, rng)
+        inputs, masked, plans, nsp_labels = masked_step(rng, 9, max_len=32)
+        assert sorted(inputs, key=len) != inputs
+        monkeypatch.setattr(replyrank.model, "BLOCK_BYTES", ONE_BLOCK)
         stacked = []
 
         def recording_stack_inputs(encoded):
@@ -129,10 +162,38 @@ class TestBlocksMatchOneBlock:
                                                   (masked, _adaptation_block, (plans, nsp_labels))):
             stacked.clear()
             _objective(block_loss, phase_inputs, targets, params, config)
-            assert [len(block) for block in stacked] == [2, 2, 2, 2, 1]
-            assert [enc for block in stacked for enc in block] == phase_inputs
-            for block in stacked:
-                assert stack_inputs(block).token_ids.shape[1] == max(len(enc) for enc in block)
+            assert stacked == [phase_inputs]
+
+    def test_rows_of_equal_length_keep_batch_order(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        config = ModelConfig(vocab_size=len(VOCAB), hidden_dim=8, num_layers=1, num_heads=2, ffn_dim=8, max_seq_len=32)
+        params = init_params(config, rng)
+        inputs = [full_length_input(rng, 20, len(VOCAB)) for _ in range(7)]
+        monkeypatch.setattr(replyrank.model, "BLOCK_BYTES", 2 * 8 * (2 * 20 * 20 + 8 * 20))  # 2-row blocks
+        monkeypatch.setattr(replyrank.model, "_usable_cores", lambda: 1)
+        stacked = []
+
+        def recording_stack_inputs(encoded):
+            stacked.append(list(encoded))
+            return stack_inputs(encoded)
+
+        monkeypatch.setattr(training, "stack_inputs", recording_stack_inputs)
+        _objective(_matching_block, inputs, np.ones(7), params, config)
+        assert [len(block) for block in stacked] == [2, 2, 2, 1]
+        assert [enc for block in stacked for enc in block] == inputs
+
+
+class TestSlotCounts:
+    def test_hand_counted_batch(self, monkeypatch):
+        config = ModelConfig(vocab_size=len(VOCAB), hidden_dim=8, num_layers=1, num_heads=2, ffn_dim=8, max_seq_len=32)
+        rng = np.random.default_rng(0)
+        inputs = [full_length_input(rng, length, len(VOCAB)) for length in (5, 9, 6, 9, 3)]
+        monkeypatch.setattr(replyrank.model, "BLOCK_BYTES", 2 * 8 * (2 * 9 * 9 + 8 * 9))  # 2-row blocks
+        # blocks [3, 5], [6, 9], [9]: 2 * 5 + 2 * 9 + 1 * 9 = 37 slots for 32 positions
+        assert training._slot_counts(inputs, config) == (32, 5)
+        monkeypatch.setattr(replyrank.model, "BLOCK_BYTES", ONE_BLOCK)
+        # one block in batch order, 9 wide: 5 * 9 = 45 slots
+        assert training._slot_counts(inputs, config) == (32, 13)
 
 
 class TestParameterCheck:

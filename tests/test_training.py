@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -9,13 +11,14 @@ from scipy.special import expit, logsumexp
 
 import replyrank.model
 from replyrank import training
-from replyrank.encoding import EncodedInput
+from replyrank.encoding import EncodedInput, encode_instance
 from replyrank.model import ModelConfig, init_params
 from replyrank.tokenizer import CLS, EOT, EOU, MASK, NUM_SPECIALS, PAD, SEP
 from replyrank.training import (
     MASK_FRACTION,
     WEIGHT_DECAY,
     AdamState,
+    LogEntry,
     TrainConfig,
     _adaptation_block,
     _corrupted_pairs,
@@ -100,7 +103,7 @@ class TestPlanMasking:
         assert abs(counts["keep"] / total - 0.10) < 0.02
 
     def test_no_maskable_tokens_rejected(self, rng):
-        from replyrank.encoding import EncodedInput
+        from replyrank.encoding import EncodedInput, encode_instance
 
         enc = EncodedInput(token_ids=(CLS, SEP, SEP), segment_ids=(0, 0, 1), speaker_ids=(0, 0, 0))
         with pytest.raises(ValueError):
@@ -298,6 +301,8 @@ class TestOptimizer:
                    frozen=frozenset(["w"]))
         assert np.all(params["w"] == 1.0)
 
+REPO = Path(__file__).resolve().parent.parent
+
 
 class TestTrain:
     def setup_method(self):
@@ -332,6 +337,15 @@ class TestTrain:
         losses = [e.loss for e in result.log]
         tenth = max(1, len(losses) // 10)
         assert np.median(losses[-tenth:]) < np.median(losses[:tenth])
+
+    def test_log_counts_each_epochs_real_positions_once(self):
+        params = init_params(self.config, np.random.default_rng(3))
+        result = train("finetune", self.instances, params, self.config,
+                       TrainConfig(learning_rate=1e-3, batch_size=5, max_epochs=2, seed=0), self.vocab)
+        real = sum(len(encode_instance(inst, self.vocab, 32)) for inst in self.instances)
+        assert len(result.log) == 8
+        assert [sum(e.real_slots for e in result.log[epoch : epoch + 4]) for epoch in (0, 4)] == [real, real]
+        assert all(e.padded_slots >= 0 for e in result.log)
 
     def test_lr_schedule_logged(self):
         params = init_params(self.config, np.random.default_rng(3))
@@ -430,7 +444,7 @@ class TestAdaptationValidation:
         assert loss == trained
 
     def test_memory_does_not_grow_with_validation_size(self):
-        toy = json.loads((Path(__file__).resolve().parent.parent / "configs" / "toy.json").read_text())
+        toy = json.loads((REPO / "configs" / "toy.json").read_text())
         config = ModelConfig(vocab_size=len(VOCAB), **toy["model"])
         params = init_params(config, np.random.default_rng(0))
         rng = np.random.default_rng(1)
@@ -480,10 +494,20 @@ class TestTrainConfig:
 
 class TestLossLog:
     def test_csv_format(self, tmp_path):
-        from replyrank.training import LogEntry
-
         path = tmp_path / "loss.csv"
-        write_loss_log(path, [LogEntry(step=1, phase="adapt", loss=1.5, lr=2e-5)])
+        write_loss_log(path, [LogEntry(step=1, phase="adapt", loss=1.5, lr=2e-5, real_slots=61, padded_slots=7)])
         lines = path.read_text().splitlines()
-        assert lines[0] == "step,phase,loss,lr"
-        assert lines[1] == "1,adapt,1.5,2e-05"
+        assert lines[0] == "step,phase,loss,lr,real_slots,padded_slots"
+        assert lines[1] == "1,adapt,1.5,2e-05,61,7"
+
+    def test_the_benchmark_reads_back_the_logged_losses(self, tmp_path, monkeypatch):
+        """``perfbench/run.py``'s own ``read_losses``, imported as it is, reads the loss column."""
+        monkeypatch.setattr(sys, "path", list(sys.path))  # run.py puts perfbench/ first on the path
+        spec = importlib.util.spec_from_file_location("perfbench_run", REPO / "perfbench" / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+        losses = [1.5, 0.6931471806, 2.25e-07, 12.0]  # ten significant digits, as the log writes them
+        path = tmp_path / "loss.csv"
+        write_loss_log(path, [LogEntry(step=step, phase="finetune", loss=loss, lr=1e-3 / step, real_slots=40 + step,
+                                       padded_slots=step) for step, loss in enumerate(losses, 1)])
+        assert run.read_losses(path) == losses

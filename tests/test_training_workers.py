@@ -28,8 +28,9 @@ class TestBackwardAddsOnce:
     """``backward`` into a dict G gives, bit for bit, G plus what it gives into zeros.
 
     So adding a block's fresh gradients into the step's sum rounds exactly as
-    the serial loop's running dict.  It holds because every tensor takes one
-    addition per call; a decoder tied to the token table would add two
+    the serial loop's running dict.  It holds because every tensor takes at
+    most one addition per call (none for the vocabulary head when no
+    vocabulary logits were requested); a decoder tied to the token table would add two
     contributions into ``token_table``, so it must sum them within the block
     before adding them (ROADMAP item 21).
     """
@@ -75,22 +76,36 @@ class TestTrainAtEveryWorkerCount:
     def setup_method(self):
         self.vocab = topic_vocab()
         self.config = tiny_model_config(vocab_size=len(self.vocab), max_seq_len=32)
-        self.instances = topic_instances(np.random.default_rng(5), 28)
+        rng = np.random.default_rng(5)  # contexts of 1, 2 and 3 utterances: rows of unequal lengths
+        self.instances = [inst for utterances, count in ((1, 10), (2, 10), (3, 8))
+                          for inst in topic_instances(rng, count, context_utts=utterances)]
         self.width = max(len(encode_instance(inst, self.vocab, 32)) for inst in self.instances)
 
     def run(self, monkeypatch, phase, cores, validate=True, one_block=False):
-        """Loss log and final parameters of a 2-epoch run in 7-row batches (four blocks a step, or one) on ``cores``."""
+        """Loss log and final parameters of a 2-epoch run in 7-row batches (four blocks a step, or one) on ``cores``.
+
+        Every training batch holds rows of unequal lengths, so a step of
+        several blocks runs its rows in length order, not batch order.
+        """
         if one_block:
             monkeypatch.setattr(replyrank.model, "BLOCK_BYTES", 10**9)
         else:
             two_row_blocks(monkeypatch, self.config, self.width)
         monkeypatch.setattr(replyrank.model, "_usable_cores", lambda: cores)
+        batches, row_blocks = [], replyrank.training._row_blocks
+
+        def recording_row_blocks(encoded, config):
+            batches.append([len(enc) for enc in encoded])
+            return row_blocks(encoded, config)
+
+        monkeypatch.setattr(replyrank.training, "_row_blocks", recording_row_blocks)
         params = init_params(self.config, np.random.default_rng(2))
-        validation = self.instances[:6] if phase == "adapt" else topic_pools(np.random.default_rng(6), 3, pool_size=4)
+        validation = self.instances[::5] if phase == "adapt" else topic_pools(np.random.default_rng(6), 3, pool_size=4)
         result = train(phase, self.instances, params, self.config,
                        TrainConfig(learning_rate=1e-3, batch_size=7, max_epochs=2, seed=3), self.vocab,
                        validation if validate else None)
-        log = [(e.step, e.phase, e.loss.hex(), e.lr.hex()) for e in result.log]
+        assert batches and all(len(set(lengths)) > 1 for lengths in batches)
+        log = [(e.step, e.phase, e.loss.hex(), e.lr.hex(), e.real_slots, e.padded_slots) for e in result.log]
         return log, {name: p.tobytes() for name, p in result.params.items()}
 
     @pytest.mark.parametrize("phase", ["adapt", "finetune"])
